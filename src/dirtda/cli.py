@@ -30,6 +30,7 @@ from .homology import (
     save_diagram,
 )
 from .ingest import load_series, save_series, segment, standardize
+from .jsonio import read_json, write_json
 from .pdc import DEFAULT_BANDS, FrequencyBand, network_from_dict, network_to_dict, pdc_band
 from .pipeline import PipelineConfig, run_pipeline
 from .plots import plot_diagram, plot_landscape
@@ -55,17 +56,6 @@ from .var import (
 __all__ = ["main"]
 
 
-def _write_json(doc: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _read_json(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _parse_band(text: str) -> FrequencyBand:
     """Either a default band name (alpha) or name:low:high in Hz."""
     if ":" not in text:
@@ -85,6 +75,37 @@ def _parse_span(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"expected START:END in seconds, got {text!r}")
     return float(parts[0]), float(parts[1])
+
+
+def _parse_window(text: str) -> tuple[str, float, float]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected NAME:START:END in seconds, got {text!r}")
+    return parts[0], float(parts[1]), float(parts[2])
+
+
+def _windows_doc(specs: list[str]) -> dict[str, list[float]]:
+    return {name: [lo, hi] for name, lo, hi in map(_parse_window, specs)}
+
+
+def _bands_doc(specs: list[str]) -> dict[str, list[float]]:
+    return {band.name: [band.low_hz, band.high_hz] for band in map(_parse_band, specs)}
+
+
+# config key -> conversion of the run flag whose dest is that key (None: as is)
+_RUN_OVERRIDES = {
+    "input": None,
+    "fs_hz": None,
+    "out_dir": None,
+    "windows": _windows_doc,
+    "bands": _bands_doc,
+    "order": None,
+    "select_k_max": None,
+    "criterion": None,
+    "n_grid": None,
+    "max_dim": None,
+    "standardize": None,
+}
 
 
 def _load_window(args: argparse.Namespace):
@@ -112,27 +133,27 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         order = args.order
     model = fit_var(series, order)
-    _write_json(var_model_to_dict(model), args.out)
+    write_json(var_model_to_dict(model), args.out)
     return 0
 
 
 def _cmd_pdc(args: argparse.Namespace) -> int:
-    model = var_model_from_dict(_read_json(args.model))
+    model = var_model_from_dict(read_json(args.model))
     band = _parse_band(args.band)
     labels = tuple(args.labels.split(",")) if args.labels else None
     net = pdc_band(model, band, args.fs, args.n_grid, labels)
-    _write_json(network_to_dict(net), args.out)
+    write_json(network_to_dict(net), args.out)
     return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    net = network_from_dict(_read_json(args.network))
-    _write_json(decomposition_to_dict(decompose(net)), args.out)
+    net = network_from_dict(read_json(args.network))
+    write_json(decomposition_to_dict(decompose(net)), args.out)
     return 0
 
 
 def _cmd_persist(args: argparse.Namespace) -> int:
-    dec = decomposition_from_dict(_read_json(args.decomp))
+    dec = decomposition_from_dict(read_json(args.decomp))
     diagram = persistence(rips_filtration(asym_distance(dec), args.max_dim))
     save_diagram(diagram, args.out)
     if args.plot:
@@ -144,7 +165,7 @@ def _cmd_landscape(args: argparse.Namespace) -> int:
     diagram = load_diagram(args.diagram)
     t_max = args.t_max if args.t_max is not None else shared_t_max(diagram)
     ls = landscape(diagram, args.dim, args.k_max, args.n_grid, t_max)
-    _write_json(landscape_to_dict(ls), args.out)
+    write_json(landscape_to_dict(ls), args.out)
     if args.plot:
         plot_landscape(ls, args.plot, f"landscape dim {args.dim}")
     return 0
@@ -164,47 +185,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "wasserstein": was if math.isfinite(was) else "inf",
         "landscape_l2": landscape_distance(ls_a, ls_b, 2),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    print(text)
+        write_json(doc, args.out)
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    doc: dict[str, Any] = _read_json(args.config) if args.config else {}
+    doc: dict[str, Any] = read_json(args.config) if args.config else {}
     # flags override config keys; absent flags leave the config untouched
-    if args.input is not None:
-        doc["input"] = args.input
-    if args.fs is not None:
-        doc["fs_hz"] = args.fs
-    if args.out_dir is not None:
-        doc["out_dir"] = args.out_dir
-    if args.order is not None:
-        doc["order"] = args.order
-    if args.select_k_max is not None:
-        doc["select_k_max"] = args.select_k_max
-    if args.criterion is not None:
-        doc["criterion"] = args.criterion
-    if args.n_grid is not None:
-        doc["n_grid"] = args.n_grid
-    if args.max_dim is not None:
-        doc["max_dim"] = args.max_dim
-    if args.threads is not None:
-        doc["threads"] = args.threads
-    if args.no_standardize:
-        doc["standardize"] = False
-    if args.window:
-        doc["windows"] = {}
-        for spec_text in args.window:
-            name, rest = spec_text.split(":", 1)
-            doc["windows"][name] = list(_parse_span(rest))
-    if args.band:
-        doc["bands"] = {}
-        for spec_text in args.band:
-            band = _parse_band(spec_text)
-            doc["bands"][band.name] = [band.low_hz, band.high_hz]
+    for key, convert in _RUN_OVERRIDES.items():
+        value = getattr(args, key)
+        if value is not None:
+            doc[key] = convert(value) if convert else value
     for key in ("input", "fs_hz", "out_dir"):
         if key not in doc:
             raise ValueError(f"missing required config key {key!r} (config file or flag)")
@@ -298,19 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline from a flat JSON config")
     p.add_argument("--config", default=None, help="flat JSON config path")
     p.add_argument("--input", default=None)
-    p.add_argument("--fs", type=float, default=None)
+    p.add_argument("--fs", type=float, default=None, dest="fs_hz")
     p.add_argument("--out-dir", default=None, dest="out_dir")
-    p.add_argument("--window", action="append", default=None, metavar="NAME:START:END",
-                   help="repeatable; replaces config windows")
-    p.add_argument("--band", action="append", default=None, metavar="NAME[:LOW:HIGH]",
-                   help="repeatable; replaces config bands")
+    p.add_argument("--window", action="append", default=None, dest="windows",
+                   metavar="NAME:START:END", help="repeatable; replaces config windows")
+    p.add_argument("--band", action="append", default=None, dest="bands",
+                   metavar="NAME[:LOW:HIGH]", help="repeatable; replaces config bands")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--select-k-max", type=int, default=None, dest="select_k_max")
     p.add_argument("--criterion", choices=["aic", "bic"], default=None)
     p.add_argument("--n-grid", type=int, default=None, dest="n_grid")
     p.add_argument("--max-dim", type=int, default=None, dest="max_dim", choices=[1, 2])
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--no-standardize", action="store_true")
+    p.add_argument("--no-standardize", action="store_false", default=None,
+                   dest="standardize")
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -9,7 +9,6 @@ Zero-persistence pairs are dropped from diagrams.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -18,6 +17,7 @@ from typing import Any
 import numpy as np
 
 from .decomp import DistanceMatrix
+from .jsonio import read_json, write_json
 
 __all__ = [
     "Simplex",
@@ -189,11 +189,8 @@ def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
 
 
 def save_diagram(diagram: PersistenceDiagram, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(diagram_to_dict(diagram), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(diagram_to_dict(diagram), path)
 
 
 def load_diagram(path: str) -> PersistenceDiagram:
-    with open(path, encoding="utf-8") as handle:
-        return diagram_from_dict(json.load(handle))
+    return diagram_from_dict(read_json(path))

@@ -13,6 +13,7 @@ from typing import Any
 
 import numpy as np
 
+from .ingest import default_labels
 from .var import VarModel
 
 __all__ = [
@@ -165,7 +166,7 @@ def pdc_band(
         acc += pdc_at(model, float(omega))
     weights = acc / len(omegas)
     if labels is None:
-        labels = tuple(f"ch{i + 1}" for i in range(model.n_channels))
+        labels = default_labels(model.n_channels)
     # averaging magnitudes in [0, 1] can graze 1.0 from above only by rounding
     return DirectedNetwork(np.clip(weights, 0.0, 1.0), band, labels)
 

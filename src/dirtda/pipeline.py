@@ -2,19 +2,17 @@
 
 One VAR is fitted per time window; every (window, band) cell then yields a
 directed network, its decomposition, a persistence diagram, and landscapes.
-Cells are independent: a failing cell is recorded and skipped without
-aborting the run. All artifacts are written with stable ordering and
-fixed formatting, so a rerun on identical input is byte-identical.
+Cells run one after another in config order and are independent: a failing
+cell is recorded and skipped without aborting the run. All artifacts are
+written with stable ordering and fixed formatting, so a rerun on identical
+input is byte-identical.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,6 +25,7 @@ from .homology import (
     total_persistence,
 )
 from .ingest import load_series, segment, standardize
+from .jsonio import write_json
 from .pdc import DEFAULT_BANDS, FrequencyBand, network_to_dict, pdc_band
 from .plots import plot_diagram, plot_landscape
 from .summaries import (
@@ -41,9 +40,14 @@ from .summaries import (
 )
 from .var import OrderCriterion, fit_var, select_order, var_model_to_dict
 
-__all__ = ["PipelineConfig", "AnalysisReport", "run_pipeline", "thread_budget"]
+__all__ = ["PipelineConfig", "AnalysisReport", "run_pipeline"]
 
-THREADS_ENV_VAR = "DIRTDA_THREADS"
+# every key of the flat JSON config; anything else is rejected as a typo
+CONFIG_KEYS = frozenset((
+    "input", "fs_hz", "out_dir", "windows", "bands", "order", "select_k_max",
+    "criterion", "n_grid", "max_dim", "standardize", "landscape_k_max",
+    "landscape_n_grid", "wasserstein_q",
+))
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,12 @@ class PipelineConfig:
     landscape_k_max: int = DEFAULT_K_MAX
     landscape_n_grid: int = DEFAULT_N_GRID
     wasserstein_q: float = 1.0
-    threads: int | None = None
-    # reserved for synthetic inputs; the analysis itself is deterministic
-    seed: int | None = None
 
     @staticmethod
     def from_dict(doc: dict[str, Any]) -> "PipelineConfig":
+        unknown = sorted(set(doc) - CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         windows = tuple(
             (str(name), float(lohi[0]), float(lohi[1]))
             for name, lohi in sorted(doc.get("windows", {}).items())
@@ -104,8 +108,6 @@ class PipelineConfig:
             landscape_k_max=int(doc.get("landscape_k_max", DEFAULT_K_MAX)),
             landscape_n_grid=int(doc.get("landscape_n_grid", DEFAULT_N_GRID)),
             wasserstein_q=float(doc.get("wasserstein_q", 1.0)),
-            threads=(int(doc["threads"]) if doc.get("threads") is not None else None),
-            seed=(int(doc["seed"]) if doc.get("seed") is not None else None),
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -124,8 +126,6 @@ class PipelineConfig:
             "landscape_k_max": self.landscape_k_max,
             "landscape_n_grid": self.landscape_n_grid,
             "wasserstein_q": self.wasserstein_q,
-            "threads": self.threads,
-            "seed": self.seed,
         }
 
 
@@ -151,29 +151,8 @@ class AnalysisReport:
         }
 
 
-def thread_budget(requested: int | None, n_tasks: int) -> int:
-    """Worker count: the request (or cpu count), capped by DIRTDA_THREADS."""
-    budget = requested if requested and requested > 0 else (os.cpu_count() or 1)
-    cap_text = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if cap_text:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {cap_text!r}")
-        if cap < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
-        budget = min(budget, cap)
-    return max(1, min(budget, max(n_tasks, 1)))
-
-
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", name)
-
-
-def _write_json(doc: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _cell(
@@ -223,37 +202,18 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                     {"window": name, "band": band.name, "error": str(exc)}
                 )
 
-    tasks = [
-        (w_name, band)
-        for w_name, _, _ in windows
-        if w_name in models
-        for band in config.bands
-    ]
     results: dict[tuple[str, str], dict[str, Any]] = {}
-    errors: dict[tuple[str, str], str] = {}
-
-    def run_one(key: tuple[str, str]) -> None:
-        w_name, band = key[0], next(b for b in config.bands if b.name == key[1])
+    for w_name, _, _ in windows:
+        if w_name not in models:
+            continue
         model, labels = models[w_name]
-        try:
-            results[key] = _cell(model, labels, band, config)
-        except ValueError as exc:
-            errors[key] = str(exc)
-
-    keys = [(w, b.name) for w, b in tasks]
-    workers = thread_budget(config.threads, len(keys))
-    if workers > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, keys))
-    else:
-        for key in keys:
-            run_one(key)
-
-    for key in keys:
-        if key in errors:
-            report.failures.append(
-                {"window": key[0], "band": key[1], "error": errors[key]}
-            )
+        for band in config.bands:
+            try:
+                results[(w_name, band.name)] = _cell(model, labels, band, config)
+            except ValueError as exc:
+                report.failures.append(
+                    {"window": w_name, "band": band.name, "error": str(exc)}
+                )
 
     # deterministic artifact writing: iterate windows and bands in config order
     for w_name, _, _ in windows:
@@ -261,7 +221,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             continue
         model, _ = models[w_name]
         model_path = os.path.join(config.out_dir, f"model_{_slug(w_name)}.json")
-        _write_json(var_model_to_dict(model), model_path)
+        write_json(var_model_to_dict(model), model_path)
         report.artifacts.append(model_path)
 
     for band in config.bands:
@@ -281,11 +241,11 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             cell_doc: dict[str, Any] = {"t_max": t_max, "total_persistence": {}}
 
             net_path = os.path.join(config.out_dir, f"network_{stem}.json")
-            _write_json(network_to_dict(cell["network"]), net_path)
+            write_json(network_to_dict(cell["network"]), net_path)
             dec_path = os.path.join(config.out_dir, f"decomp_{stem}.json")
-            _write_json(decomposition_to_dict(cell["decomposition"]), dec_path)
+            write_json(decomposition_to_dict(cell["decomposition"]), dec_path)
             dia_path = os.path.join(config.out_dir, f"diagram_{stem}.json")
-            _write_json(diagram_to_dict(cell["diagram"]), dia_path)
+            write_json(diagram_to_dict(cell["diagram"]), dia_path)
             svg_path = os.path.join(config.out_dir, f"diagram_{stem}.svg")
             plot_diagram(cell["diagram"], svg_path, f"{w_name} / {band.name}")
             report.artifacts += [net_path, dec_path, dia_path, svg_path]
@@ -301,7 +261,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 )
                 landscapes[dim] = ls
                 ls_path = os.path.join(config.out_dir, f"landscape_{stem}_dim{dim}.json")
-                _write_json(landscape_to_dict(ls), ls_path)
+                write_json(landscape_to_dict(ls), ls_path)
                 ls_svg = os.path.join(config.out_dir, f"landscape_{stem}_dim{dim}.svg")
                 plot_landscape(ls, ls_svg, f"{w_name} / {band.name} dim {dim}")
                 report.artifacts += [ls_path, ls_svg]
@@ -335,6 +295,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             report.distances[band.name] = band_dist
 
     report_path = os.path.join(config.out_dir, "report.json")
-    _write_json(report.to_dict(), report_path)
+    write_json(report.to_dict(), report_path)
     report.artifacts.append(report_path)
     return report

@@ -2,9 +2,9 @@
 
 Landscapes sample the k largest tent functions of a diagram on a uniform
 grid. Bottleneck distance is exact, via binary search over candidate radii
-with a bipartite feasibility check; Wasserstein distance is solved as an
-assignment problem on the diagonally augmented point sets with infinity-norm
-ground metric.
+with a Hopcroft-Karp perfect-matching feasibility check; Wasserstein
+distance is solved as an assignment problem on the diagonally augmented
+point sets with infinity-norm ground metric.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from typing import Any
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .homology import PersistenceDiagram
 
@@ -160,46 +162,34 @@ def _diag_gap(p: tuple[float, float]) -> float:
     return (p[1] - p[0]) / 2.0
 
 
-def _matchable_within(
-    a: list[tuple[float, float]], b: list[tuple[float, float]], radius: float
-) -> bool:
-    """Perfect-matching feasibility on the diagonally augmented bipartite graph.
+def _edge_radii(
+    a: list[tuple[float, float]], b: list[tuple[float, float]]
+) -> np.ndarray:
+    """Smallest radius at which each edge of the augmented bipartite graph exists.
 
-    Left side is a-points plus one diagonal proxy per b-point, right side is
-    b-points plus one proxy per a-point; proxies pair with each other for
-    free. Kuhn augmenting paths suffice at diagram scale.
+    Rows are a-points plus one diagonal proxy per b-point, columns are
+    b-points plus one proxy per a-point. A point may pair with any point of
+    the other diagram (infinity-norm distance) or with its own proxy (half
+    its lifetime); proxies pair with each other for free. Missing edges are
+    inf.
     """
     m, n = len(a), len(b)
-    size = m + n
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for i, pa in enumerate(a):
-        for j, pb in enumerate(b):
-            if _inf_norm(pa, pb) <= radius:
-                adj[i].append(j)
-        if _diag_gap(pa) <= radius:
-            adj[i].append(n + i)
-    for j2 in range(n):
-        # proxy for b[j2] may absorb b[j2] itself, or any a-proxy
-        if _diag_gap(b[j2]) <= radius:
-            adj[m + j2].append(j2)
-        adj[m + j2].extend(range(n, n + m))
+    pa = np.array(a, dtype=float).reshape(m, 2)
+    pb = np.array(b, dtype=float).reshape(n, 2)
+    radii = np.full((m + n, m + n), np.inf)
+    radii[:m, :n] = np.maximum(
+        np.abs(pa[:, None, 0] - pb[None, :, 0]), np.abs(pa[:, None, 1] - pb[None, :, 1])
+    )
+    radii[np.arange(m), n + np.arange(m)] = (pa[:, 1] - pa[:, 0]) / 2.0
+    radii[m + np.arange(n), np.arange(n)] = (pb[:, 1] - pb[:, 0]) / 2.0
+    radii[m:, n:] = 0.0
+    return radii
 
-    match_right = [-1] * size
 
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
-    matched = 0
-    for u in range(size):
-        if augment(u, [False] * size):
-            matched += 1
-    return matched == size
+def _matchable_within(radii: np.ndarray, radius: float) -> bool:
+    """Perfect-matching feasibility of the edges no longer than radius."""
+    graph = csr_matrix(radii <= radius)
+    return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
 
 
 def _infinite_part_max(a_births: list[float], b_births: list[float]) -> float:
@@ -220,22 +210,19 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
         return math.inf
     inf_part = _infinite_part_max(inf_a, inf_b)
 
-    candidates = {0.0}
-    candidates.update(_inf_norm(pa, pb) for pa in fin_a for pb in fin_b)
-    candidates.update(_diag_gap(p) for p in fin_a)
-    candidates.update(_diag_gap(p) for p in fin_b)
-    ordered = sorted(candidates)
+    radii = _edge_radii(fin_a, fin_b)
+    ordered = np.union1d([0.0], radii[np.isfinite(radii)])
     # smallest feasible radius; feasibility is monotone in the radius
     lo, hi = 0, len(ordered) - 1
-    if not _matchable_within(fin_a, fin_b, ordered[hi]):
+    if not _matchable_within(radii, ordered[hi]):
         raise AssertionError("largest candidate radius must be feasible")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matchable_within(fin_a, fin_b, ordered[mid]):
+        if _matchable_within(radii, ordered[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return max(ordered[lo], inf_part)
+    return max(float(ordered[lo]), inf_part)
 
 
 def wasserstein(

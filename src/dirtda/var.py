@@ -96,13 +96,14 @@ def _ols(x: np.ndarray, k: int, t0: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     d = x.shape[1]
     y, design = _lag_design(x, k, t0)
-    cond = np.linalg.cond(design)
+    beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
+    # the solver's singular values give the 2-norm condition number for free
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise ValueError(
             f"singular lag regression (condition estimate {cond:.3e}); "
             "check for duplicated or constant channels"
         )
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta
     # drop the intercept row; reshape the rest into (k, d, d)
     coeffs = np.stack([beta[1 + lag * d : 1 + (lag + 1) * d].T for lag in range(k)])

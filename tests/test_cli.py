@@ -145,10 +145,16 @@ class TestRunCommand:
         report = json.load(open(out / "report.json"))
         assert list(report["cells"]) == ["first"]
 
-    def test_threads_flag(self, workdir, config_path):
-        out = workdir / "run_threads"
-        assert run("run", "--config", config_path, "--out-dir", out,
-                   "--threads", "2") == 0
+    def test_unknown_config_keys_exit_one(self, workdir, config_path, capsys):
+        doc = json.loads(config_path.read_text())
+        doc.update({"max-dim": 1, "windwos": {"w": [0.0, 500.0]}, "threads": 2})
+        path = workdir / "config_typo.json"
+        path.write_text(json.dumps(doc))
+        out = workdir / "run_typo"
+        assert run("run", "--config", path, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "max-dim" in err and "windwos" in err and "threads" in err
+        assert not out.exists()
 
 
 class TestArgErrors:
@@ -165,6 +171,11 @@ class TestArgErrors:
         assert run("fit", "--input", workdir / "sim.csv", "--fs", "1.0",
                    "--window", "backwards", "--out", workdir / "x.json") == 1
         assert "START:END" in capsys.readouterr().err
+
+    def test_bad_run_window_syntax(self, workdir, config_path, capsys):
+        assert run("run", "--config", config_path, "--out-dir",
+                   workdir / "run_badwin", "--window", "w1") == 1
+        assert "expected NAME:START:END" in capsys.readouterr().err
 
     def test_missing_file_reported(self, workdir, capsys):
         assert run("persist", "--decomp", workdir / "absent.json",

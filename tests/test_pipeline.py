@@ -22,7 +22,6 @@ from dirtda import (
     standardize,
     system_two,
 )
-from dirtda.pipeline import thread_budget
 
 
 @pytest.fixture(scope="module")
@@ -142,36 +141,3 @@ class TestRunPipeline:
         assert report.n_succeeded == 1
         assert {f["window"] for f in report.failures} == {"late"}
 
-
-class TestThreadBudget:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("DIRTDA_THREADS", "2")
-        assert thread_budget(8, 10) == 2
-
-    def test_request_below_cap(self, monkeypatch):
-        monkeypatch.setenv("DIRTDA_THREADS", "8")
-        assert thread_budget(3, 10) == 3
-
-    def test_task_bound(self, monkeypatch):
-        monkeypatch.delenv("DIRTDA_THREADS", raising=False)
-        assert thread_budget(16, 2) == 2
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("DIRTDA_THREADS", "zero")
-        with pytest.raises(ValueError):
-            thread_budget(None, 4)
-
-    def test_serial_run_matches_threaded(self, series_csv, tmp_path, monkeypatch):
-        bands = (FrequencyBand("a", 0.1, 0.2), FrequencyBand("b", 0.2, 0.3))
-        monkeypatch.setenv("DIRTDA_THREADS", "1")
-        out1 = str(tmp_path / "serial")
-        run_pipeline(config(series_csv, out1, bands=bands))
-        monkeypatch.setenv("DIRTDA_THREADS", "4")
-        out2 = str(tmp_path / "threaded")
-        run_pipeline(config(series_csv, out2, bands=bands))
-        for name in sorted(os.listdir(out1)):
-            if name == "report.json":
-                continue  # embeds out_dir, compared modulo path elsewhere
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
-            assert a == b, name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from dirtda import (
     PersistenceDiagram,
@@ -35,6 +36,55 @@ def small_diagrams(draw, dim=1):
         gap = draw(st.floats(0.01, 5.0, allow_nan=False))
         pairs.append((dim, b, b + gap))
     return diagram(pairs)
+
+
+@st.composite
+def quantized_diagrams(draw, dim=1):
+    """Births and lifetimes on a coarse half-unit grid: many ties."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = []
+    for _ in range(n):
+        b = 0.5 * draw(st.integers(0, 6))
+        gap = 0.5 * draw(st.integers(1, 4))
+        pairs.append((dim, b, b + gap))
+    return diagram(pairs)
+
+
+def oracle_bottleneck(a, b):
+    """Smallest radius at which a 0/1 threshold assignment costs nothing.
+
+    Independent of dirtda's matcher: the augmented cost matrix is built
+    entry by entry, radii are scanned in increasing order without assuming
+    monotonicity, and feasibility is read off an optimal assignment.
+    """
+    m, n = len(a), len(b)
+
+    def edge(i, j):
+        # radius at which row i may pair with column j, None if never
+        if i < m and j < n:
+            return max(abs(a[i][0] - b[j][0]), abs(a[i][1] - b[j][1]))
+        if i < m:
+            return (a[i][1] - a[i][0]) / 2.0 if j - n == i else None
+        if j < n:
+            return (b[j][1] - b[j][0]) / 2.0 if i - m == j else None
+        return 0.0
+
+    size = m + n
+    radii = {0.0}
+    radii.update(
+        e for i in range(size) for j in range(size) if (e := edge(i, j)) is not None
+    )
+    for radius in sorted(radii):
+        cost = np.ones((size, size))
+        for i in range(size):
+            for j in range(size):
+                e = edge(i, j)
+                if e is not None and e <= radius:
+                    cost[i, j] = 0.0
+        rows, cols = linear_sum_assignment(cost)
+        if cost[rows, cols].sum() == 0.0:
+            return radius
+    raise AssertionError("no feasible radius")
 
 
 class TestLandscape:
@@ -189,6 +239,18 @@ class TestBottleneck:
         a = diagram([(0, 0.0, math.inf), (0, 0.0, 0.1)])
         b = diagram([(0, 3.0, math.inf), (0, 0.0, 0.1)])
         assert bottleneck(a, b, 0) == pytest.approx(3.0)
+
+    def test_thousand_shifted_points(self):
+        # a_i is 0.9 from b_i and 1.1 from b_(i-1): augmenting paths can run the
+        # whole chain, deeper than Python's recursion limit for a recursive matcher
+        a = diagram([(1, 2.0 * i, 2.0 * i + 1e4) for i in range(1000)])
+        b = diagram([(1, 2.0 * i + 0.9, 2.0 * i + 0.9 + 1e4) for i in range(1000)])
+        assert bottleneck(a, b, 1) == pytest.approx(0.9, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quantized_diagrams(), quantized_diagrams())
+    def test_matches_assignment_oracle(self, a, b):
+        assert bottleneck(a, b, 1) == oracle_bottleneck(a.in_dim(1), b.in_dim(1))
 
 
 class TestWasserstein:
