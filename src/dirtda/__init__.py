@@ -15,9 +15,7 @@ from .decomp import (
     projection_residual,
 )
 from .homology import (
-    Filtration,
     PersistenceDiagram,
-    Simplex,
     betti_at,
     load_diagram,
     persistence,
@@ -100,8 +98,6 @@ __all__ = [
     "decompose",
     "asym_distance",
     "projection_residual",
-    "Simplex",
-    "Filtration",
     "PersistenceDiagram",
     "rips_filtration",
     "persistence",

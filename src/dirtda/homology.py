@@ -1,9 +1,32 @@
 """Vietoris-Rips filtrations and persistent homology over GF(2).
 
 A simplex enters the filtration at the largest pairwise distance among its
-vertices (vertices enter at 0). Persistence pairs are computed by boundary
-matrix column reduction with the clearing optimization: dimensions are
-processed top-down so columns already identified as creators are skipped.
+vertices (vertices enter at 0). Simplices up to dimension max_dim + 1 are
+built as integer vertex arrays, one per dimension, and ranked within their
+dimension by (value, lexicographic vertices).
+
+Only simplices entering by the enclosing radius r = min_i max_j dist[i, j]
+are kept. At r some vertex is joined to every other, so the complex is a
+cone: every class of dimension 1..max_dim and all but one 0-class have
+died by then, and a simplex entering later can only open and close a
+class at one value. The pairs dropped with those simplices all have zero
+persistence.
+
+Pairs are computed by persistent cohomology, which yields the same pairs
+as boundary reduction (de Silva, Morozov & Vejdemo-Johansson, "Dualities
+in persistent (co)homology", 2011), with the shortcuts of Ripser (Bauer,
+J. Appl. Comput. Topol. 2021):
+
+- dimension 0 is union-find over the edges in filtration order; the edges
+  that merge two components pair with a vertex and are cleared as
+  dimension-1 columns;
+- in dimension k >= 1 the coboundary column of a k-simplex holds its
+  (k+1)-cofacets and its pivot is the earliest of them. Columns are
+  reduced in reverse filtration order. A k-simplex whose earliest cofacet
+  has it as latest facet forms an apparent pair, which is read off
+  without reduction, and a column is cleared when its simplex is the
+  pivot of a column one dimension lower.
+
 Zero-persistence pairs are dropped from diagrams.
 """
 
@@ -11,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any
 
 import numpy as np
@@ -20,7 +42,6 @@ from .decomp import DistanceMatrix
 from .jsonio import read_json, write_json
 
 __all__ = [
-    "Simplex",
     "Filtration",
     "PersistenceDiagram",
     "rips_filtration",
@@ -32,25 +53,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """Vertex tuple (ascending) plus the filtration value it enters at."""
-
-    vertices: tuple[int, ...]
-    value: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filtration:
-    """Simplices sorted by (value, dimension, lexicographic vertices)."""
+    """Rips simplices up to dimension max_dim + 1 entering by the radius.
 
-    simplices: tuple[Simplex, ...]
+    vertices[k] is an (m_k, k + 1) array of ascending vertex indices and
+    values[k] the matching entry values, both ordered by (value,
+    lexicographic vertices). radius is the enclosing radius; no simplex
+    entering later is kept.
+    """
+
     n_nodes: int
     max_dim: int
+    radius: float
+    vertices: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -68,7 +85,8 @@ class PersistenceDiagram:
 
 
 def rips_filtration(dm: DistanceMatrix, max_dim: int = 2) -> Filtration:
-    """All simplices on the metric's nodes up to dimension max_dim + 1.
+    """Simplices on the metric's nodes up to dimension max_dim + 1 that
+    enter by the enclosing radius.
 
     max_dim is the largest homology dimension to be reported later and must
     be 1 or 2; simplices one dimension higher are needed as potential
@@ -78,78 +96,159 @@ def rips_filtration(dm: DistanceMatrix, max_dim: int = 2) -> Filtration:
         raise ValueError(f"max_dim must be 1 or 2, got {max_dim}")
     dist = dm.dist
     n = dm.n_nodes
-    simplices: list[Simplex] = [Simplex((v,), 0.0) for v in range(n)]
-    for size in range(2, max_dim + 3):
-        for verts in combinations(range(n), size):
-            value = max(dist[i][j] for i, j in combinations(verts, 2))
-            simplices.append(Simplex(verts, float(value)))
-    simplices.sort(key=lambda s: (s.value, s.dim, s.vertices))
-    return Filtration(tuple(simplices), n, max_dim)
+    radius = float(dist.max(axis=1).min())
+    # lexicographic enumeration: extend each kept simplex by every larger
+    # vertex; a simplex beyond the radius has no cofacet within it
+    lex_verts = np.arange(n).reshape(n, 1)
+    lex_values = np.zeros(n)
+    vertices, values = [lex_verts], [lex_values]
+    for _ in range(max_dim + 1):
+        last = lex_verts[:, -1]
+        counts = n - 1 - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        new = last[parent] + 1 + offset
+        value = np.maximum(
+            lex_values[parent], dist[lex_verts[parent], new[:, None]].max(axis=1)
+        )
+        keep = value <= radius
+        lex_verts = np.column_stack((lex_verts[parent[keep]], new[keep]))
+        lex_values = value[keep]
+        order = np.argsort(lex_values, kind="stable")
+        vertices.append(lex_verts[order])
+        values.append(lex_values[order])
+    return Filtration(n, max_dim, radius, tuple(vertices), tuple(values))
+
+
+def _facet_ranks(lower: np.ndarray, upper: np.ndarray, n: int) -> np.ndarray:
+    """Rank within lower of each facet of each simplex in upper.
+
+    Simplices are keyed by their combinatorial number sum_i C(v_i, i + 1)
+    over ascending vertices v_0 < v_1 < ..., which is dense below
+    C(n, size) and distinct per vertex set.
+    """
+    size = lower.shape[1]
+    binom = np.array(
+        [[math.comb(v, i + 1) for i in range(size)] for v in range(n)], dtype=np.int64
+    )
+
+    def key(rows: np.ndarray) -> np.ndarray:
+        return binom[rows, np.arange(size)].sum(axis=1)
+
+    rank = np.full(math.comb(n, size), -1, dtype=np.int64)
+    rank[key(lower)] = np.arange(len(lower))
+    ranks = np.empty((len(upper), size + 1), dtype=np.int64)
+    for drop in range(size + 1):
+        ranks[:, drop] = rank[key(np.delete(upper, drop, axis=1))]
+    return ranks
+
+
+def _merging_edges(edges: np.ndarray, n: int) -> list[int]:
+    """Ranks of the edges that join two components, in filtration order."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    merging = []
+    for rank, (a, b) in enumerate(edges.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[rb] = ra
+            merging.append(rank)
+    return merging
+
+
+def _coboundaries(facets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cofacet ranks of m k-simplices, given the facets of each (k+1)-simplex.
+
+    The coboundary of k-simplex s is cobound[start[s]:start[s + 1]], in
+    ascending rank order.
+    """
+    flat = facets.ravel()
+    cobound = np.argsort(flat, kind="stable") // facets.shape[1]
+    start = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=m), out=start[1:])
+    return cobound, start
+
+
+def _apparent_pairs(
+    facets: np.ndarray, cobound: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k-simplex, earliest cofacet) pairs where the cofacet's latest facet
+    is that k-simplex; these pivots need no reduction."""
+    has_cofacet = np.flatnonzero(start[1:] > start[:-1])
+    earliest = cobound[start[has_cofacet]]
+    apparent = facets.max(axis=1)[earliest] == has_cofacet
+    return has_cofacet[apparent], earliest[apparent]
+
+
+def _cohomology_pairs(
+    cleared: np.ndarray, facets: np.ndarray
+) -> tuple[list[int], list[int], list[int]]:
+    """Reduce the coboundary columns of one dimension.
+
+    cleared marks the k-simplices already paired one dimension lower;
+    facets[t] holds the k-simplex ranks of the facets of (k+1)-simplex t.
+    Returns (births, deaths, essential): paired k- and (k+1)-simplex ranks
+    and the ranks of k-simplices whose column reduced to zero.
+    """
+    cobound, start = _coboundaries(facets, len(cleared))
+    apparent_births, apparent_deaths = _apparent_pairs(facets, cobound, start)
+    births, deaths = apparent_births.tolist(), apparent_deaths.tolist()
+    skip = cleared.copy()
+    skip[apparent_births] = True
+
+    # columns are ascending rank arrays, so a column's pivot is its first
+    # entry; owner[pivot] is the column whose reduced coboundary has that
+    # pivot. Only reduced columns are stored: an apparent column is its
+    # unreduced coboundary.
+    owner = dict(zip(deaths, births))
+    columns: dict[int, np.ndarray] = {}
+    essential = []
+
+    def column(s: int) -> np.ndarray:
+        return cobound[start[s] : start[s + 1]]
+
+    for s in np.flatnonzero(~skip)[::-1].tolist():
+        col = column(s)
+        while len(col):
+            pivot = int(col[0])
+            other = owner.get(pivot)
+            if other is None:
+                owner[pivot] = s
+                columns[s] = col
+                births.append(s)
+                deaths.append(pivot)
+                break
+            reduced = columns[other] if other in columns else column(other)
+            col = np.setxor1d(col, reduced, assume_unique=True)
+        else:
+            essential.append(s)
+    return births, deaths, essential
 
 
 def persistence(filtration: Filtration) -> PersistenceDiagram:
-    """Reduce the boundary matrix and read off persistence pairs.
+    """Persistence pairs of the filtration in dimensions 0..max_dim."""
+    vertices, values = filtration.vertices, filtration.values
+    out: list[tuple[int, float, float]] = [(0, 0.0, math.inf)]
+    merging = _merging_edges(vertices[1], filtration.n_nodes)
+    out += [(0, 0.0, death) for death in values[1][merging].tolist() if death > 0.0]
 
-    Columns are GF(2) bit masks over the global filtration order. For each
-    dimension, processed from (max_dim + 1) down to 1, a column is XOR-reduced
-    against earlier columns sharing its lowest one; a surviving column pairs
-    its low index (birth) with its own index (death), and the paired birth
-    column is cleared without reduction.
-    """
-    simps = filtration.simplices
-    order = {s.vertices: i for i, s in enumerate(simps)}
-    n_simp = len(simps)
-    top = filtration.max_dim + 1
-
-    by_dim: dict[int, list[int]] = {q: [] for q in range(top + 1)}
-    for i, s in enumerate(simps):
-        by_dim[s.dim].append(i)
-
-    reduced: dict[int, int] = {}
-    pivot_col: dict[int, int] = {}
-    cleared = bytearray(n_simp)
-    zero_col = bytearray(n_simp)
-    pairs: list[tuple[int, int]] = []
-
-    for q in range(top, 0, -1):
-        for j in by_dim[q]:
-            if cleared[j]:
-                continue
-            verts = simps[j].vertices
-            col = 0
-            for face in combinations(verts, q):
-                col ^= 1 << order[face]
-            while col:
-                low = col.bit_length() - 1
-                other = pivot_col.get(low)
-                if other is None:
-                    break
-                col ^= reduced[other]
-            if col:
-                low = col.bit_length() - 1
-                reduced[j] = col
-                pivot_col[low] = j
-                pairs.append((low, j))
-                cleared[low] = 1
-            else:
-                zero_col[j] = 1
-
-    out: list[tuple[int, float, float]] = []
-    for i, j in pairs:
-        dim = simps[i].dim
-        if dim > filtration.max_dim:
-            continue
-        birth, death = simps[i].value, simps[j].value
-        if death > birth:
-            out.append((dim, birth, death))
-    # unpaired creators are essential classes; vertices are never reduced
-    # explicitly, so any vertex not cleared is an essential 0-class
-    for i, s in enumerate(simps):
-        if s.dim > filtration.max_dim:
-            continue
-        unpaired = (zero_col[i] or s.dim == 0) and not cleared[i]
-        if unpaired:
-            out.append((s.dim, s.value, math.inf))
+    cleared = np.zeros(len(values[1]), dtype=bool)
+    cleared[merging] = True
+    for k in range(1, filtration.max_dim + 1):
+        facets = _facet_ranks(vertices[k], vertices[k + 1], filtration.n_nodes)
+        births, deaths, essential = _cohomology_pairs(cleared, facets)
+        for birth, death in zip(values[k][births].tolist(), values[k + 1][deaths].tolist()):
+            if death > birth:
+                out.append((k, birth, death))
+        out += [(k, birth, math.inf) for birth in values[k][essential].tolist()]
+        cleared = np.zeros(len(values[k + 1]), dtype=bool)
+        cleared[deaths] = True
     out.sort(key=lambda p: (p[0], p[1], p[2]))
     return PersistenceDiagram(tuple(out))
 

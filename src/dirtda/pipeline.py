@@ -3,7 +3,8 @@
 One VAR is fitted per time window; every (window, band) cell then yields a
 directed network, its decomposition, a persistence diagram, and landscapes.
 Cells run one after another in config order and are independent: a failing
-cell is recorded and skipped without aborting the run. All artifacts are
+cell, or a failing distance between two windows' diagrams, is recorded and
+skipped without aborting the run. All artifacts are
 written with stable ordering and fixed formatting, so a rerun on identical
 input is byte-identical.
 """
@@ -155,6 +156,26 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", name)
 
 
+def _check_artifact_names(window_names: list[str], band_names: list[str]) -> None:
+    """Raise if two windows, or two (window, band) cells, share a file name.
+
+    _slug is not one-to-one ("a b" and "a-b" both give "a-b"), and a cell
+    joins two slugs with "_" ("a_b" + "c" and "a" + "b_c" both give
+    "a_b_c"), so without this check one cell's files overwrite another's.
+    """
+    named = [(f"model_{_slug(w)}.json", f"window {w!r}") for w in window_names]
+    named += [
+        (f"diagram_{_slug(w)}_{_slug(b)}.json", f"cell ({w!r}, {b!r})")
+        for w in window_names
+        for b in band_names
+    ]
+    claimed: dict[str, str] = {}
+    for path, name in named:
+        other = claimed.setdefault(path, name)
+        if other != name:
+            raise ValueError(f"{other} and {name} would both write {path}")
+
+
 def _cell(
     model, labels: tuple[str, ...], band: FrequencyBand, cfg: PipelineConfig
 ) -> dict[str, Any]:
@@ -170,11 +191,13 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     """Execute the full analysis and write all artifacts under out_dir.
 
     Returns the report, which is also written as report.json. Per-cell
-    failures are collected in report.failures rather than raised.
+    failures, and per window pair failures of the distance phase (with
+    window "a|b"), are collected in report.failures rather than raised.
+    Names whose artifacts would share a file are rejected before any file
+    is written.
     """
     report = AnalysisReport(config)
     series = load_series(config.input_path, config.sampling_rate_hz)
-    os.makedirs(config.out_dir, exist_ok=True)
 
     windows = config.windows or (("full", 0.0, series.duration_sec),)
     window_names = [name for name, _, _ in windows]
@@ -183,6 +206,8 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     band_names = [band.name for band in config.bands]
     if len(set(band_names)) != len(band_names):
         raise ValueError("band names must be distinct")
+    _check_artifact_names(window_names, band_names)
+    os.makedirs(config.out_dir, exist_ok=True)
 
     # fit one model per window; a window failure poisons only its own cells
     models: dict[str, Any] = {}
@@ -280,16 +305,26 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 dia_a: PersistenceDiagram = results[(wa, band.name)]["diagram"]
                 dia_b: PersistenceDiagram = results[(wb, band.name)]["diagram"]
                 by_dim = {}
-                for dim in range(config.max_dim + 1):
-                    ls_a = results[(wa, band.name)]["landscapes"][dim]
-                    ls_b = results[(wb, band.name)]["landscapes"][dim]
-                    was = wasserstein(dia_a, dia_b, dim, config.wasserstein_q)
-                    bot = bottleneck(dia_a, dia_b, dim)
-                    by_dim[str(dim)] = {
-                        "bottleneck": bot if math.isfinite(bot) else "inf",
-                        "wasserstein": was if math.isfinite(was) else "inf",
-                        "landscape_l2": landscape_distance(ls_a, ls_b, 2),
-                    }
+                try:
+                    for dim in range(config.max_dim + 1):
+                        ls_a = results[(wa, band.name)]["landscapes"][dim]
+                        ls_b = results[(wb, band.name)]["landscapes"][dim]
+                        was = wasserstein(dia_a, dia_b, dim, config.wasserstein_q)
+                        bot = bottleneck(dia_a, dia_b, dim)
+                        by_dim[str(dim)] = {
+                            "bottleneck": bot if math.isfinite(bot) else "inf",
+                            "wasserstein": was if math.isfinite(was) else "inf",
+                            "landscape_l2": landscape_distance(ls_a, ls_b, 2),
+                        }
+                except Exception as exc:  # one pair's failure must not end the run
+                    report.failures.append(
+                        {
+                            "window": f"{wa}|{wb}",
+                            "band": band.name,
+                            "error": f"{type(exc).__name__}: {exc}",
+                        }
+                    )
+                    continue
                 band_dist[f"{wa}|{wb}"] = by_dim
         if band_dist:
             report.distances[band.name] = band_dist

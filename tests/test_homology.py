@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dirtda import (
 )
 from dirtda.homology import diagram_from_dict, diagram_to_dict
 
+import reference_reduction
 from naive_homology import naive_persistence
 
 
@@ -45,39 +47,63 @@ def random_distance_matrix(rng, n, values=(0.2, 0.4, 0.6, 0.8, 1.0)):
     return dm(d)
 
 
+def entry_value(dist, verts):
+    return max((float(dist[i, j]) for i, j in combinations(verts, 2)), default=0.0)
+
+
 class TestRipsFiltration:
     def test_unit_triangle_enumeration(self):
         f = rips_filtration(UNIT_TRIANGLE, max_dim=1)
-        by_dim = {}
-        for s in f.simplices:
-            by_dim.setdefault(s.dim, []).append(s)
-        assert len(by_dim[0]) == 3 and all(s.value == 0.0 for s in by_dim[0])
-        assert len(by_dim[1]) == 3 and all(s.value == 1.0 for s in by_dim[1])
-        assert len(by_dim[2]) == 1 and by_dim[2][0].value == 1.0
+        assert [len(v) for v in f.vertices] == [3, 3, 1]
+        assert f.values[0].tolist() == [0.0, 0.0, 0.0]
+        assert f.values[1].tolist() == [1.0, 1.0, 1.0]
+        assert f.vertices[2].tolist() == [[0, 1, 2]] and f.values[2].tolist() == [1.0]
 
     def test_single_node(self):
         f = rips_filtration(dm([[0.0]]), max_dim=1)
-        assert len(f.simplices) == 1
-        assert f.simplices[0].vertices == (0,)
+        assert [len(v) for v in f.vertices] == [1, 0, 0]
+        assert f.vertices[0].tolist() == [[0]]
 
     def test_all_zero_distances(self):
+        # the radius is 0 and nothing is cut: the full 3-skeleton on 4 nodes
         f = rips_filtration(dm(np.zeros((4, 4))), max_dim=2)
-        assert all(s.value == 0.0 for s in f.simplices)
+        assert f.radius == 0.0
+        assert [len(v) for v in f.vertices] == [4, 6, 4, 1]
+        assert all(not values.any() for values in f.values)
 
     def test_face_before_coface(self):
+        # each dimension is ordered by (value, lexicographic vertices), and in
+        # the (value, dimension, rank) order every facet precedes its simplex
         f = rips_filtration(SQUARE, max_dim=2)
-        position = {s.vertices: i for i, s in enumerate(f.simplices)}
-        for s in f.simplices:
-            if s.dim == 0:
-                continue
-            for drop in range(len(s.vertices)):
-                face = s.vertices[:drop] + s.vertices[drop + 1 :]
-                assert position[face] < position[s.vertices]
+        position = {}
+        for k, (verts, values) in enumerate(zip(f.vertices, f.values)):
+            keys = [(v, tuple(s)) for v, s in zip(values.tolist(), verts.tolist())]
+            assert keys == sorted(keys)
+            for rank, (value, simplex) in enumerate(keys):
+                assert value == entry_value(SQUARE.dist, simplex)
+                position[simplex] = (value, k, rank)
+        for simplex, pos in position.items():
+            if len(simplex) > 1:
+                for face in combinations(simplex, len(simplex) - 1):
+                    assert position[face] < pos
 
     def test_simplex_count_includes_cofaces(self):
-        # killing dim-2 features needs 3-simplices: sizes 1..4 of 5 nodes
-        f = rips_filtration(random_distance_matrix(np.random.default_rng(0), 5), 2)
-        assert len(f.simplices) == 5 + 10 + 10 + 5
+        # killing dim-2 features needs 3-simplices: sizes 1..4 of 5 nodes,
+        # less those entering after the enclosing radius (here 0.8, which
+        # cuts the two edges at 1.0 and their cofaces)
+        mat = random_distance_matrix(np.random.default_rng(0), 5)
+        f = rips_filtration(mat, 2)
+        assert f.radius == 0.8
+        expected = [
+            sum(
+                1
+                for verts in combinations(range(5), size)
+                if entry_value(mat.dist, verts) <= f.radius
+            )
+            for size in range(1, 5)
+        ]
+        assert [len(v) for v in f.vertices] == expected
+        assert sum(expected) < 5 + 10 + 10 + 5
 
     @pytest.mark.parametrize("bad", [0, 3, -1])
     def test_max_dim_domain(self, bad):
@@ -242,4 +268,68 @@ def test_oracle_equivalence_property(n, seed):
     mat = random_distance_matrix(rng, n)
     assert list(persistence(rips_filtration(mat, 2)).pairs) == naive_persistence(
         mat.dist, 2
+    )
+
+
+def reference_pairs(mat, max_dim):
+    return reference_reduction.persistence(
+        reference_reduction.rips_filtration(mat, max_dim)
+    ).pairs
+
+
+def metric(rng, n, kind):
+    """Symmetric zero-diagonal metric of one of four kinds.
+
+    "continuous": uniform distances, no ties; "quantised": 2-3 distinct
+    values; "zero": all distances 0; "radius": node 0 has eccentricity 0.5
+    and the others mostly sit at 0.5 too, so many simplices enter exactly
+    at the enclosing radius and some enter after it.
+    """
+    if kind == "continuous":
+        raw = rng.uniform(0.05, 1.0, size=(n, n))
+    elif kind == "quantised":
+        levels = rng.uniform(0.1, 1.0, size=int(rng.integers(2, 4)))
+        raw = rng.choice(levels, size=(n, n))
+    elif kind == "zero":
+        raw = np.zeros((n, n))
+    else:
+        raw = rng.choice([0.25, 0.5, 0.5, 0.5, 0.75], size=(n, n))
+        raw[0, :] = rng.choice([0.25, 0.5], size=n)
+        raw[0, -1] = 0.5
+    upper = np.triu(raw, 1)
+    return dm(upper + upper.T)
+
+
+KINDS = ["continuous", "quantised", "zero", "radius"]
+
+
+class TestReferenceReduction:
+    """Pairs must equal those of the boundary reduction the cohomology replaced."""
+
+    @pytest.mark.parametrize("max_dim", [1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny(self, n, kind, max_dim):
+        for seed in range(5):
+            mat = metric(np.random.default_rng(seed), n, kind)
+            assert persistence(rips_filtration(mat, max_dim)).pairs == reference_pairs(
+                mat, max_dim
+            )
+
+    def test_d24_continuous(self):
+        mat = metric(np.random.default_rng(24), 24, "continuous")
+        assert persistence(rips_filtration(mat, 2)).pairs == reference_pairs(mat, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(KINDS),
+    st.sampled_from([1, 2]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_reference_reduction_property(n, kind, max_dim, seed):
+    mat = metric(np.random.default_rng(seed), n, kind)
+    assert persistence(rips_filtration(mat, max_dim)).pairs == reference_pairs(
+        mat, max_dim
     )

@@ -141,3 +141,43 @@ class TestRunPipeline:
         assert report.n_succeeded == 1
         assert {f["window"] for f in report.failures} == {"late"}
 
+
+    @pytest.mark.parametrize(
+        "windows, bands, names",
+        [
+            ((("a b", 0.0, 400.0), ("a-b", 400.0, 800.0)), ("peak",), ("'a b'", "'a-b'")),
+            ((("a_b", 0.0, 400.0), ("a", 400.0, 800.0)), ("c", "b_c"), ("'a_b'", "'b_c'")),
+        ],
+    )
+    def test_artifact_name_collision_rejected(self, series_csv, tmp_path, windows, bands, names):
+        out = tmp_path / "out"
+        bands = tuple(FrequencyBand(name, 0.18, 0.28) for name in bands)
+        with pytest.raises(ValueError, match="would both write") as err:
+            run_pipeline(config(series_csv, str(out), windows=windows, bands=bands))
+        assert all(name in str(err.value) for name in names)
+        assert not out.exists()
+
+    def test_distance_failure_isolated_to_its_pair(self, series_csv, tmp_path, monkeypatch):
+        import dirtda.pipeline
+
+        real = dirtda.pipeline.bottleneck
+        calls = []
+
+        def flaky(a, b, dim):
+            # one call per dim (0..2) and window pair: the 4th opens w1|w3
+            calls.append(dim)
+            if len(calls) == 4:
+                raise AssertionError("no feasible radius")
+            return real(a, b, dim)
+
+        monkeypatch.setattr(dirtda.pipeline, "bottleneck", flaky)
+        windows = (("w1", 0.0, 500.0), ("w2", 500.0, 1000.0), ("w3", 1000.0, 1600.0))
+        out = str(tmp_path / "out")
+        report = run_pipeline(config(series_csv, out, windows=windows))
+        assert report.failures == [
+            {"window": "w1|w3", "band": "peak", "error": "AssertionError: no feasible radius"}
+        ]
+        assert report.n_succeeded == 3
+        assert set(report.distances["peak"]) == {"w1|w2", "w2|w3"}
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["failures"] == report.failures
