@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,45 +97,101 @@ def _parse_float(cell: str, row_no: int, col_no: int) -> float:
     return value
 
 
-def load_series(path: str | os.PathLike, sampling_rate_hz: float) -> MultivariateSeries:
-    """Read a CSV recording.
+def _header_labels(row: list[str], row_no: int) -> tuple[str, ...] | None:
+    """The row's stripped cells when any of them is not a number, else None."""
+    try:
+        for col_no, cell in enumerate(row, start=1):
+            _parse_float(cell, row_no, col_no)
+    except ValueError:
+        return tuple(cell.strip() for cell in row)
+    return None
 
-    The first row is treated as a header when any of its cells does not
-    parse as a number; otherwise default labels "ch1".."chd" are assigned.
-    Ragged rows and non-numeric or non-finite cells are reported with their
-    1-based row and column position.
+
+def _load_clean(
+    path: str | os.PathLike,
+) -> tuple[np.ndarray, tuple[str, ...] | None] | None:
+    """Parse a clean numeric CSV with np.loadtxt, or None when it cannot vouch.
+
+    The header is detected from the first non-empty row exactly as in
+    _parse_cells. The result is kept only when loadtxt raised and warned
+    nothing, returned at least one row as wide as that first row, and every
+    value is finite; anything else is left to _parse_cells.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such file: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            first = next((row for row in reader if row), None)
+            if first is None:
+                return None
+            labels = _header_labels(first, reader.line_num)
+        # loadtxt skips blank lines itself, so only a header needs skipping
+        skip = reader.line_num if labels is not None else 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                path,
+                delimiter=",",
+                skiprows=skip,
+                dtype=float,
+                comments=None,
+                ndmin=2,
+                encoding="utf-8",
+            )
+    except (ValueError, csv.Error, Warning):
+        return None
+    if data.shape[0] < 1 or data.shape[1] != len(first) or not np.isfinite(data).all():
+        return None
+    return data, labels
+
+
+def _parse_cells(path: str | os.PathLike) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """Parse the CSV one cell at a time with float(); the source of every error."""
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"empty recording: {path}")
 
-    labels: tuple[str, ...] | None = None
-    first = rows[0]
-    try:
-        for col_no, cell in enumerate(first, start=1):
-            _parse_float(cell, 1, col_no)
-    except ValueError:
-        labels = tuple(cell.strip() for cell in first)
+    first_no, first = rows[0]
+    labels = _header_labels(first, first_no)
+    if labels is not None:
         rows = rows[1:]
         if not rows:
-            raise ValueError(f"header but no data rows in {path}") from None
+            raise ValueError(f"header but no data rows in {path}")
 
-    width = len(rows[0])
-    header_offset = 1 if labels is not None else 0
+    width = len(rows[0][1])
     data = np.empty((len(rows), width), dtype=float)
-    for i, row in enumerate(rows):
-        row_no = i + 1 + header_offset
+    for i, (row_no, row) in enumerate(rows):
         if len(row) != width:
             raise ValueError(
                 f"ragged row {row_no}: expected {width} columns, got {len(row)}"
             )
         for j, cell in enumerate(row):
             data[i, j] = _parse_float(cell, row_no, j + 1)
+    return data, labels
 
-    return MultivariateSeries(data, sampling_rate_hz, labels or default_labels(width))
+
+def load_series(path: str | os.PathLike, sampling_rate_hz: float) -> MultivariateSeries:
+    """Read a CSV recording.
+
+    The first non-empty row is treated as a header when any of its cells
+    does not parse as a number; otherwise default labels "ch1".."chd" are
+    assigned. A clean numeric file is parsed in C by np.loadtxt. Anything
+    it rejects, warns about, or reads as non-finite or of the wrong width
+    (quoted cells, "1_0", non-ASCII digits, ragged rows, bad cells) is
+    parsed again one cell at a time with Python's float(), which accepts
+    the same cells as before and raises every error. Ragged rows and
+    non-numeric or non-finite cells are reported as "row N, column M",
+    where N is the 1-based file line on which the record ends (blank lines
+    count) and M the 1-based column.
+    """
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no such file: {path}")
+    parsed = _load_clean(path)
+    if parsed is None:
+        parsed = _parse_cells(path)
+    data, labels = parsed
+    return MultivariateSeries(data, sampling_rate_hz, labels or default_labels(data.shape[1]))
 
 
 def save_series(series: MultivariateSeries, path: str | os.PathLike) -> None:
@@ -142,8 +199,7 @@ def save_series(series: MultivariateSeries, path: str | os.PathLike) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(series.channel_labels)
-        for row in series.samples:
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows(series.samples.tolist())
 
 
 def segment(series: MultivariateSeries, start_sec: float, end_sec: float) -> MultivariateSeries:

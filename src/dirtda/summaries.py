@@ -154,10 +154,6 @@ def _split_points(
     return finite, infinite
 
 
-def _inf_norm(p: tuple[float, float], q: tuple[float, float]) -> float:
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
 def _diag_gap(p: tuple[float, float]) -> float:
     return (p[1] - p[0]) / 2.0
 
@@ -249,9 +245,11 @@ def wasserstein(
     if m + n == 0:
         return float(inf_cost ** (1.0 / q))
     cost = np.zeros((m + n, m + n))
-    for i, pa in enumerate(fin_a):
-        for j, pb in enumerate(fin_b):
-            cost[i, j] = _inf_norm(pa, pb) ** q
+    block = _edge_radii(fin_a, fin_b)[:m, :n]
+    if q != 1:
+        # Python's float power, not numpy's, which can differ in the last bit
+        block = np.array([r ** q for r in block.ravel().tolist()]).reshape(m, n)
+    cost[:m, :n] = block
     diag_a = [_diag_gap(p) ** q for p in fin_a]
     diag_b = [_diag_gap(p) ** q for p in fin_b]
     big = (cost.sum() + sum(diag_a) + sum(diag_b) + 1.0) * 2

@@ -12,6 +12,7 @@ import math
 import itertools
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ def test_criterion_8_determinism(tmp_path):
         run_pipeline(cfg)
         return {
             name: hashlib.sha256(
-                open(os.path.join(out, name), "rb").read()
+                Path(out, name).read_bytes()
             ).hexdigest()
             for name in sorted(os.listdir(out))
         }

@@ -6,6 +6,7 @@ import pytest
 
 from dirtda import load_diagram, load_series, realize, save_series, system_one
 from dirtda.cli import main
+from dirtda.jsonio import read_json
 from dirtda.pdc import network_from_dict
 from dirtda.var import var_model_from_dict
 
@@ -32,13 +33,13 @@ class TestStageChain:
         model = workdir / "model.json"
         assert run("fit", "--input", csv, "--fs", "1.0", "--order", "3",
                    "--out", model) == 0
-        m = var_model_from_dict(json.load(open(model)))
+        m = var_model_from_dict(read_json(model))
         assert m.order_k == 3 and m.n_channels == 5
 
         net = workdir / "net.json"
         assert run("pdc", "--model", model, "--band", "peak:0.18:0.28",
                    "--fs", "1.0", "--out", net) == 0
-        w = network_from_dict(json.load(open(net)))
+        w = network_from_dict(read_json(net))
         assert w.band.name == "peak"
         assert np.all(w.weights >= 0.0) and np.all(w.weights <= 1.0)
 
@@ -55,14 +56,14 @@ class TestStageChain:
         land = workdir / "land.json"
         assert run("landscape", "--diagram", dia, "--dim", "0", "--k-max", "3",
                    "--out", land, "--plot", workdir / "land.svg") == 0
-        assert json.load(open(land))["dim"] == 0
+        assert read_json(land)["dim"] == 0
 
     def test_compare_output(self, workdir, capsys):
         dia = workdir / "dia.json"
         out = workdir / "cmp.json"
         assert run("compare", "--a", dia, "--b", dia, "--dim", "0",
                    "--out", out) == 0
-        doc = json.load(open(out))
+        doc = read_json(out)
         assert doc["bottleneck"] == 0.0
         assert doc["wasserstein"] == 0.0
         assert doc["landscape_l2"] == 0.0
@@ -74,7 +75,7 @@ class TestStageChain:
         assert run("fit", "--input", workdir / "sim.csv", "--fs", "1.0",
                    "--select-k-max", "4", "--criterion", "bic",
                    "--out", model) == 0
-        assert json.load(open(model))["k"] >= 1
+        assert read_json(model)["k"] >= 1
 
     def test_fit_window_and_no_standardize(self, workdir):
         a = workdir / "m_win.json"
@@ -84,8 +85,8 @@ class TestStageChain:
         assert run("fit", "--input", workdir / "sim.csv", "--fs", "1.0",
                    "--window", "0:2000", "--order", "2", "--no-standardize",
                    "--out", b) == 0
-        ca = np.asarray(json.load(open(a))["coeffs"])
-        cb = np.asarray(json.load(open(b))["coeffs"])
+        ca = np.asarray(read_json(a)["coeffs"])
+        cb = np.asarray(read_json(b)["coeffs"])
         assert not np.array_equal(ca, cb)
 
 
@@ -109,7 +110,7 @@ class TestRunCommand:
     def test_success_exit_zero(self, workdir, config_path):
         out = workdir / "run_ok"
         assert run("run", "--config", config_path, "--out-dir", out) == 0
-        report = json.load(open(out / "report.json"))
+        report = read_json(out / "report.json")
         assert report["failures"] == []
         assert sorted(report["cells"]) == ["w1", "w2"]
 
@@ -119,7 +120,7 @@ class TestRunCommand:
                    "--band", "peak:0.18:0.28", "--band", "bad:0.6:0.9")
         assert code == 2
         assert "cell failed" in capsys.readouterr().err
-        report = json.load(open(out / "report.json"))
+        report = read_json(out / "report.json")
         assert len(report["failures"]) == 2
 
     def test_all_failed_exit_one(self, workdir, config_path):
@@ -142,7 +143,7 @@ class TestRunCommand:
         out = workdir / "run_override"
         assert run("run", "--config", config_path, "--out-dir", out,
                    "--window", "first:0:500") == 0
-        report = json.load(open(out / "report.json"))
+        report = read_json(out / "report.json")
         assert list(report["cells"]) == ["first"]
 
     def test_unknown_config_keys_exit_one(self, workdir, config_path, capsys):

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from dirtda import (
     segment,
     standardize,
 )
+from dirtda import ingest
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -88,6 +92,38 @@ class TestLoadSeries:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_series(str(tmp_path / "nope.csv"), 10.0)
+
+    def test_error_position_is_file_line(self, tmp_path):
+        path = write(tmp_path, "a,b\n1,2\n\n\n3,x\n")
+        with pytest.raises(ValueError, match="row 5, column 2"):
+            load_series(path, 10.0)
+
+    def test_ragged_row_position_is_file_line(self, tmp_path):
+        path = write(tmp_path, "\na,b\n1,2\n\n3\n")
+        with pytest.raises(ValueError, match="ragged row 5:"):
+            load_series(path, 10.0)
+
+    def test_clean_csv_skips_cell_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        s = MultivariateSeries(rng.normal(size=(1000, 8)), 50.0)
+        path = str(tmp_path / "clean.csv")
+        save_series(s, path)
+
+        def refuse(path):
+            raise AssertionError("per-cell parser called on a clean CSV")
+
+        monkeypatch.setattr(ingest, "_parse_cells", refuse)
+        back = load_series(path, 50.0)
+        assert back.channel_labels == s.channel_labels
+        assert back.samples.tobytes() == s.samples.tobytes()
+
+    def test_header_only_raises_without_warning(self, tmp_path):
+        path = write(tmp_path, "a,b\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="header but no data rows"):
+                load_series(path, 10.0)
+        assert caught == []
 
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -180,3 +216,75 @@ def test_save_load_round_trip_property(tmp_path_factory, data):
     path = str(tmp / "x.csv")
     save_series(s, path)
     assert np.array_equal(load_series(path, 100.0).samples, s.samples)
+
+
+def test_save_series_matches_per_scalar_format(tmp_path):
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-20, 20, size=(40, 3))
+    data[0, 0] = -0.0
+    s = MultivariateSeries(data, 1.0, ("x", "y", "z"))
+    path = tmp_path / "s.csv"
+    save_series(s, str(path))
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(s.channel_labels)
+        for row in s.samples:
+            writer.writerow([repr(float(x)) for x in row])
+    assert path.read_bytes() == expected.read_bytes()
+
+
+# Pieces of CSV text that either parser may stumble on: every token that
+# float() and np.loadtxt read differently, plus line ends and separators.
+TOKENS = [
+    *"0123456789", ".", "e", "+", "-", "_", " ", "\t", ",", "\n", "\r\n", "\r",
+    '"', "#", "nan", "inf", "1e400", "\u0663",
+]
+CELL_TOKENS = [t for t in TOKENS if t not in (",", "\n", "\r\n", "\r")]
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+)
+ODD_CELLS = st.lists(st.sampled_from(CELL_TOKENS), max_size=4).map("".join)
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed tables with the odd bad cell, blank line or ragged row."""
+    width = draw(st.integers(1, 4))
+    lines = [""] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        header = st.sampled_from(["a", "b", "ch 1", '"q"', "1", "", "#x"])
+        lines.append(",".join(draw(st.lists(header, min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(0, 6))):
+        w = width if draw(st.integers(0, 7)) else draw(st.integers(1, 5))
+        cell = st.one_of(NUMBER_CELLS, NUMBER_CELLS, NUMBER_CELLS, ODD_CELLS)
+        lines.append(",".join(draw(st.lists(cell, min_size=w, max_size=w))))
+        if not draw(st.integers(0, 5)):
+            lines.append("")
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def outcome(read, path):
+    try:
+        s = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return s.samples.shape, s.samples.tobytes(), s.channel_labels
+
+
+def parse_cells_only(path):
+    data, labels = ingest._parse_cells(path)
+    return MultivariateSeries(data, 10.0, labels or default_labels(data.shape[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(csv_texts(), st.lists(st.sampled_from(TOKENS), max_size=40).map("".join)))
+def test_load_series_matches_cell_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("diff") / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(lambda p: load_series(p, 10.0), str(path)) == outcome(
+        parse_cells_only, str(path)
+    )

@@ -22,6 +22,7 @@ from dirtda import (
     standardize,
     system_two,
 )
+from dirtda.jsonio import read_json
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +98,7 @@ class TestRunPipeline:
     def test_report_written(self, series_csv, tmp_path):
         out = str(tmp_path / "out")
         report = run_pipeline(config(series_csv, out))
-        doc = json.load(open(os.path.join(out, "report.json")))
+        doc = read_json(os.path.join(out, "report.json"))
         assert doc["cells"] == report.cells
         assert doc["failures"] == []
         listed = set(doc["artifacts"])

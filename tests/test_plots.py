@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class TestPlotDiagram:
         dia = PersistenceDiagram(((0, 0.0, 1.0), (0, 0.0, math.inf)))
         path = str(tmp_path / "inf.svg")
         plot_diagram(dia, path, "inf")
-        content = open(path).read()
+        content = Path(path).read_text(encoding="utf-8")
         root = svg_root(path)
         assert len(data_circles(root)) == 1  # finite pair only
         assert "inf" in content  # margin band is labeled
@@ -56,7 +57,7 @@ class TestPlotDiagram:
         a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
         plot_diagram(dia, a, "same")
         plot_diagram(dia, b, "same")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestPlotLandscape:
@@ -89,4 +90,4 @@ class TestPlotLandscape:
         a, b = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
         plot_landscape(ls, a, "same")
         plot_landscape(ls, b, "same")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()

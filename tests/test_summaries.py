@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -85,6 +85,28 @@ def oracle_bottleneck(a, b):
         if cost[rows, cols].sum() == 0.0:
             return radius
     raise AssertionError("no feasible radius")
+
+
+def oracle_wasserstein(a, b, q):
+    """Finite-point q-Wasserstein with the augmented cost matrix built entry by entry."""
+    m, n = len(a), len(b)
+    if m + n == 0:
+        return 0.0
+    cost = np.zeros((m + n, m + n))
+    for i in range(m):
+        for j in range(n):
+            cost[i, j] = max(abs(a[i][0] - b[j][0]), abs(a[i][1] - b[j][1])) ** q
+    diag_a = [((d - b_) / 2.0) ** q for b_, d in a]
+    diag_b = [((d - b_) / 2.0) ** q for b_, d in b]
+    big = (cost.sum() + sum(diag_a) + sum(diag_b) + 1.0) * 2
+    cost[:m, n:] = big
+    cost[m:, :n] = big
+    for i in range(m):
+        cost[i, n + i] = diag_a[i]
+    for j in range(n):
+        cost[m + j, j] = diag_b[j]
+    rows, cols = linear_sum_assignment(cost)
+    return float(float(cost[rows, cols].sum()) ** (1.0 / q))
 
 
 class TestLandscape:
@@ -275,6 +297,17 @@ class TestWasserstein:
     def test_q_below_one_rejected(self):
         with pytest.raises(ValueError):
             wasserstein(SINGLE, SINGLE, 1, 0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(quantized_diagrams(), small_diagrams()),
+        st.one_of(quantized_diagrams(), small_diagrams()),
+        st.sampled_from([1.0, 2.0, 3.5]),
+    )
+    # numpy's power rounds this pair's cost (0.39...) ** 3.5 one ulp off Python's
+    @example(diagram([(1, 3.72, 7.9)]), diagram([(1, 4.11, 7.86)]), 3.5)
+    def test_matches_loop_oracle(self, a, b, q):
+        assert wasserstein(a, b, 1, q) == oracle_wasserstein(a.in_dim(1), b.in_dim(1), q)
 
 
 class TestMetricProperties:
