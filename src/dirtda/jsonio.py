@@ -1,15 +1,37 @@
-"""The one JSON file format of every artifact: indent 2, sorted keys, newline."""
+"""Artifact files: the one JSON format of every artifact (indent 2, sorted
+keys, newline), and the atomic write that every artifact goes through."""
 
 from __future__ import annotations
 
 import json
-from typing import Any
+import os
+from contextlib import contextmanager
+from typing import Any, Iterator, TextIO
 
-__all__ = ["write_json", "read_json"]
+__all__ = ["open_atomic", "write_json", "read_json"]
+
+
+@contextmanager
+def open_atomic(path: str) -> Iterator[TextIO]:
+    """Text handle whose content replaces path only when the block completes.
+
+    Writes go to a temporary file in path's directory, which is renamed over
+    path with os.replace on success and removed on any exception, so path
+    always holds either its previous content or the complete new one.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_json(doc: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_atomic(path) as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

@@ -102,18 +102,44 @@ class DirectedNetwork:
         return self.weights.shape[0]
 
 
+def _transforms(model: VarModel, omegas: list[float]) -> np.ndarray:
+    """Abar at every omega of the grid, shape (len(omegas), d, d).
+
+    Each phase exp(-i 2 pi k omega) is a scalar per frequency, so every
+    matrix equals the one a single-frequency evaluation gives, bit for bit.
+    """
+    for omega in omegas:
+        if not 0.0 <= omega <= 0.5:
+            raise ValueError(f"omega must be in [0, 0.5] cycles/sample, got {omega}")
+    d = model.n_channels
+    mats = np.empty((len(omegas), d, d), dtype=complex)
+    mats[:] = np.eye(d)
+    for k in range(1, model.order_k + 1):
+        phases = np.array([np.exp(-2j * np.pi * k * omega) for omega in omegas])
+        mats -= model.coeffs[k - 1] * phases[:, None, None]
+    return mats
+
+
+def _pdc(model: VarModel, omegas: list[float]) -> np.ndarray:
+    """PDC matrices at every omega of the grid, shape (len(omegas), d, d)."""
+    mags = np.abs(_transforms(model, omegas))
+    norms = np.sqrt((mags**2).sum(axis=1, keepdims=True))
+    degenerate = np.argwhere(norms[:, 0] == 0.0)
+    if degenerate.size:
+        at, column = degenerate[0]
+        raise ValueError(
+            f"degenerate spectral transform at omega={omegas[at]}: column "
+            f"{column + 1} is zero"
+        )
+    return mags / norms
+
+
 def spectral_transform(model: VarModel, omega: float) -> SpectralTransform:
     """Abar(omega) = I - sum_k Phi_k exp(-i 2 pi k omega).
 
     omega is in cycles per sample and must lie in [0, 0.5].
     """
-    if not 0.0 <= omega <= 0.5:
-        raise ValueError(f"omega must be in [0, 0.5] cycles/sample, got {omega}")
-    d = model.n_channels
-    mat = np.eye(d, dtype=complex)
-    for k in range(1, model.order_k + 1):
-        mat -= model.coeffs[k - 1] * np.exp(-2j * np.pi * k * omega)
-    return SpectralTransform(float(omega), mat)
+    return SpectralTransform(float(omega), _transforms(model, [omega])[0])
 
 
 def pdc_at(model: VarModel, omega: float) -> np.ndarray:
@@ -123,16 +149,7 @@ def pdc_at(model: VarModel, omega: float) -> np.ndarray:
     |Abar[p,q]| / sqrt(Abar[:,q]^H Abar[:,q]). Columns therefore satisfy
     sum_p PDC[p,q]^2 = 1.
     """
-    mat = spectral_transform(model, omega).matrix
-    mags = np.abs(mat)
-    norms = np.sqrt((mags**2).sum(axis=0))
-    degenerate = np.flatnonzero(norms == 0.0)
-    if degenerate.size:
-        raise ValueError(
-            f"degenerate spectral transform at omega={omega}: column "
-            f"{degenerate[0] + 1} is zero"
-        )
-    return mags / norms
+    return _pdc(model, [omega])[0]
 
 
 def pdc_band(
@@ -158,12 +175,12 @@ def pdc_band(
         )
     lo, hi = band.low_hz / fs_hz, band.high_hz / fs_hz
     if n_grid == 1:
-        omegas = np.array([0.5 * (lo + hi)])
+        omegas = [0.5 * (lo + hi)]
     else:
-        omegas = np.linspace(lo, hi, n_grid)
+        omegas = np.linspace(lo, hi, n_grid).tolist()
     acc = np.zeros((model.n_channels, model.n_channels))
-    for omega in omegas:
-        acc += pdc_at(model, float(omega))
+    for mat in _pdc(model, omegas):  # summed in grid order, one matrix at a time
+        acc += mat
     weights = acc / len(omegas)
     if labels is None:
         labels = default_labels(model.n_channels)

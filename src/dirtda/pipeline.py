@@ -132,6 +132,8 @@ class PipelineConfig:
 
 @dataclass
 class AnalysisReport:
+    """What one run produced; artifacts are file names within config.out_dir."""
+
     config: PipelineConfig
     cells: dict[str, dict[str, Any]] = field(default_factory=dict)
     distances: dict[str, Any] = field(default_factory=dict)
@@ -240,14 +242,17 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                     {"window": w_name, "band": band.name, "error": str(exc)}
                 )
 
+    def artifact(name: str) -> str:
+        """Path of a file in out_dir, listed in the report by its name alone."""
+        report.artifacts.append(name)
+        return os.path.join(config.out_dir, name)
+
     # deterministic artifact writing: iterate windows and bands in config order
     for w_name, _, _ in windows:
         if w_name not in models:
             continue
         model, _ = models[w_name]
-        model_path = os.path.join(config.out_dir, f"model_{_slug(w_name)}.json")
-        write_json(var_model_to_dict(model), model_path)
-        report.artifacts.append(model_path)
+        write_json(var_model_to_dict(model), artifact(f"model_{_slug(w_name)}.json"))
 
     for band in config.bands:
         # shared truncation across windows keeps landscapes comparable
@@ -265,15 +270,14 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             stem = f"{_slug(w_name)}_{_slug(band.name)}"
             cell_doc: dict[str, Any] = {"t_max": t_max, "total_persistence": {}}
 
-            net_path = os.path.join(config.out_dir, f"network_{stem}.json")
-            write_json(network_to_dict(cell["network"]), net_path)
-            dec_path = os.path.join(config.out_dir, f"decomp_{stem}.json")
-            write_json(decomposition_to_dict(cell["decomposition"]), dec_path)
-            dia_path = os.path.join(config.out_dir, f"diagram_{stem}.json")
-            write_json(diagram_to_dict(cell["diagram"]), dia_path)
-            svg_path = os.path.join(config.out_dir, f"diagram_{stem}.svg")
-            plot_diagram(cell["diagram"], svg_path, f"{w_name} / {band.name}")
-            report.artifacts += [net_path, dec_path, dia_path, svg_path]
+            write_json(network_to_dict(cell["network"]), artifact(f"network_{stem}.json"))
+            write_json(
+                decomposition_to_dict(cell["decomposition"]), artifact(f"decomp_{stem}.json")
+            )
+            write_json(diagram_to_dict(cell["diagram"]), artifact(f"diagram_{stem}.json"))
+            plot_diagram(
+                cell["diagram"], artifact(f"diagram_{stem}.svg"), f"{w_name} / {band.name}"
+            )
 
             landscapes = {}
             for dim in range(config.max_dim + 1):
@@ -285,11 +289,12 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                     t_max,
                 )
                 landscapes[dim] = ls
-                ls_path = os.path.join(config.out_dir, f"landscape_{stem}_dim{dim}.json")
-                write_json(landscape_to_dict(ls), ls_path)
-                ls_svg = os.path.join(config.out_dir, f"landscape_{stem}_dim{dim}.svg")
-                plot_landscape(ls, ls_svg, f"{w_name} / {band.name} dim {dim}")
-                report.artifacts += [ls_path, ls_svg]
+                write_json(landscape_to_dict(ls), artifact(f"landscape_{stem}_dim{dim}.json"))
+                plot_landscape(
+                    ls,
+                    artifact(f"landscape_{stem}_dim{dim}.svg"),
+                    f"{w_name} / {band.name} dim {dim}",
+                )
                 cell_doc["total_persistence"][str(dim)] = total_persistence(
                     cell["diagram"], dim
                 )
@@ -329,7 +334,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         if band_dist:
             report.distances[band.name] = band_dist
 
-    report_path = os.path.join(config.out_dir, "report.json")
-    write_json(report.to_dict(), report_path)
-    report.artifacts.append(report_path)
+    write_json(report.to_dict(), os.path.join(config.out_dir, "report.json"))
+    report.artifacts.append("report.json")
     return report

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 from .homology import PersistenceDiagram
+from .jsonio import open_atomic
 from .summaries import PersistenceLandscape
 
 __all__ = ["plot_diagram", "plot_landscape"]
@@ -79,6 +80,13 @@ def _axes(x_label: str, y_label: str, vmax_x: float, vmax_y: float) -> list[str]
     return parts
 
 
+def _write_svg(parts: list[str], path: str) -> None:
+    """The elements in parts, one a line, closed by </svg>."""
+    with open_atomic(path) as handle:
+        handle.write("\n".join(parts))
+        handle.write("\n</svg>\n")
+
+
 def plot_diagram(diagram: PersistenceDiagram, path: str, title: str = "persistence diagram") -> None:
     """Scatter of (birth, death) pairs, one color per dimension.
 
@@ -136,10 +144,7 @@ def plot_diagram(diagram: PersistenceDiagram, path: str, title: str = "persisten
             f'<text x="{x0 + 8}" y="{_T + 16}" font-family="sans-serif" '
             f'font-size="11" fill="#202020">dim {k}</text>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts))
-        handle.write("\n")
+    _write_svg(parts, path)
 
 
 def plot_landscape(ls: PersistenceLandscape, path: str, title: str | None = None) -> None:
@@ -177,7 +182,4 @@ def plot_landscape(ls: PersistenceLandscape, path: str, title: str | None = None
             f'<text x="{x0 + 18}" y="{_T + 16}" font-family="sans-serif" '
             f'font-size="11" fill="#202020">k={k + 1}</text>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts))
-        handle.write("\n")
+    _write_svg(parts, path)

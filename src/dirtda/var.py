@@ -80,34 +80,47 @@ class OrderCriterion(enum.Enum):
     BIC = "bic"
 
 
-def _lag_design(x: np.ndarray, k: int, t0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Response rows x[t0:] and regressors [1, x(t-1), ..., x(t-k)]."""
-    t = x.shape[0]
-    cols = [np.ones((t - t0, 1))]
-    cols += [x[t0 - lag : t - lag] for lag in range(1, k + 1)]
-    return x[t0:], np.hstack(cols)
+def _lag_design(x: np.ndarray, k: int, t0: int, response: bool = False) -> np.ndarray:
+    """Rows t0 on of [1, x(t-1), ..., x(t-k)], followed by x(t) when response.
 
-
-def _ols(x: np.ndarray, k: int, t0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """OLS fit of a VAR(k) using responses from row t0 on.
-
-    Returns (coeffs, residuals, regressors). Residual covariance is left to
-    the caller because the denominator differs between fit and selection.
+    Written into one preallocated array; the columns are ordered by lag, so
+    the first 1 + j*d columns are the regressors of every order j <= k.
     """
-    d = x.shape[1]
-    y, design = _lag_design(x, k, t0)
-    beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
-    # the solver's singular values give the 2-norm condition number for free
+    t, d = x.shape
+    p = 1 + k * d
+    out = np.empty((t - t0, p + d if response else p))
+    out[:, 0] = 1.0
+    for lag in range(1, k + 1):
+        out[:, 1 + (lag - 1) * d : 1 + lag * d] = x[t0 - lag : t - lag]
+    if response:
+        out[:, p:] = x[t0:]
+    return out
+
+
+def _check_condition(sv: np.ndarray) -> None:
+    """Raise when sv[0] / sv[-1], singular values largest first, exceeds _MAX_CONDITION."""
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise ValueError(
             f"singular lag regression (condition estimate {cond:.3e}); "
             "check for duplicated or constant channels"
         )
+
+
+def _ols(x: np.ndarray, k: int, t0: int) -> tuple[np.ndarray, np.ndarray]:
+    """OLS fit of a VAR(k) using responses from row t0 on.
+
+    Returns (coeffs, residuals). Residual covariance is left to the caller.
+    """
+    d = x.shape[1]
+    y, design = x[t0:], _lag_design(x, k, t0)
+    beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
+    # the solver's singular values give the 2-norm condition number for free
+    _check_condition(sv)
     resid = y - design @ beta
     # drop the intercept row; reshape the rest into (k, d, d)
     coeffs = np.stack([beta[1 + lag * d : 1 + (lag + 1) * d].T for lag in range(k)])
-    return coeffs, resid, design
+    return coeffs, resid
 
 
 def fit_var(series: MultivariateSeries, k: int) -> VarModel:
@@ -133,7 +146,7 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
         raise ValueError(
             f"need T > d*k + k observations to fit VAR({k}) on {d} channels, got T={t}"
         )
-    coeffs, resid, _ = _ols(x, k, k)
+    coeffs, resid = _ols(x, k, k)
     sigma = resid.T @ resid / (t - k)
     sigma = 0.5 * (sigma + sigma.T)
     return VarModel(coeffs, sigma)
@@ -157,10 +170,17 @@ def select_order(
             f"need T > d*k_max + k_max observations to compare orders up to {k_max}, got T={t}"
         )
     t_eff = t - k_max
+    # One QR of [design(k_max) | response] scores every order (nested least
+    # squares): order k's design is the first p columns, so r[:p, :p] is its
+    # R factor and r[p:, p_max:]^T r[p:, p_max:] its residual cross-product.
+    r = np.linalg.qr(_lag_design(x, k_max, k_max, response=True), mode="r")
+    p_max = 1 + k_max * d
     best_k, best_score = 0, np.inf
     for k in range(1, k_max + 1):
-        _, resid, _ = _ols(x, k, k_max)
-        sigma = resid.T @ resid / t_eff
+        p = 1 + k * d
+        _check_condition(np.linalg.svd(r[:p, :p], compute_uv=False))
+        tail = r[p:, p_max:]
+        sigma = tail.T @ tail / t_eff
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:
             raise ValueError(f"degenerate residual covariance at order {k}")

@@ -118,6 +118,27 @@ class TestPdcBand:
         expected = (pdc_at(m, 0.0) + pdc_at(m, 0.5)) / 2.0
         assert np.allclose(net.weights, expected, atol=1e-15)
 
+    @pytest.mark.parametrize("n_grid", [1, 32, 128])
+    def test_equals_pointwise_sum_bit_for_bit(self, n_grid):
+        # the whole-grid evaluation must add the single-frequency PDCs in grid order
+        m = random_stable_var(np.random.default_rng(7), 5, 3)
+        band = FrequencyBand("b", 8.0, 12.0)
+        net = pdc_band(m, band, fs_hz=100.0, n_grid=n_grid)
+        if n_grid == 1:
+            omegas = [0.1]
+        else:
+            omegas = np.linspace(0.08, 0.12, n_grid).tolist()
+        acc = np.zeros((5, 5))
+        for omega in omegas:
+            acc += pdc_at(m, omega)
+        assert np.array_equal(net.weights, np.clip(acc / n_grid, 0.0, 1.0))
+
+    def test_degenerate_column_names_frequency(self):
+        # unit root at omega = 0, the band's first grid point
+        m = VarModel(np.array([[[1.0, 0.0], [0.0, 0.5]]]), np.eye(2))
+        with pytest.raises(ValueError, match=r"omega=0\.0: column 1 is zero"):
+            pdc_band(m, FrequencyBand("b", 0.0, 10.0), fs_hz=100.0, n_grid=4)
+
     def test_entries_stay_in_unit_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(5):

@@ -101,10 +101,10 @@ class TestRunPipeline:
         doc = read_json(os.path.join(out, "report.json"))
         assert doc["cells"] == report.cells
         assert doc["failures"] == []
+        # names relative to out_dir, so a moved result directory stays valid
         listed = set(doc["artifacts"])
-        for name in os.listdir(out):
-            if name != "report.json":  # written last, cannot list itself
-                assert os.path.join(out, name) in listed
+        assert listed == set(os.listdir(out)) - {"report.json"}  # written last
+        assert report.artifacts[-1] == "report.json"
 
     def test_integration_equals_composition(self, series_csv, tmp_path):
         # the pipeline's diagram for (w2, peak) must equal the chained module calls

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_select_order
 from dirtda import (
     MultivariateSeries,
     OrderCriterion,
@@ -158,6 +161,44 @@ class TestSelectOrder:
         )
         for crit in (OrderCriterion.AIC, OrderCriterion.BIC):
             assert select_order(s, 5, crit) == select_order(permuted, 5, crit)
+
+    @pytest.mark.parametrize("defect", ["duplicated", "constant"])
+    def test_singular_design_raises(self, defect):
+        x = simulate_var(TRUE_MODEL, 600, seed=25).samples.copy()
+        if defect == "duplicated":
+            x[:, 3] = x[:, 1]
+        else:
+            x[:, 3] = 2.5
+        s = MultivariateSeries(x, 1.0, default_labels(5))
+        for select in (select_order, reference_select_order.select_order):
+            with pytest.raises(ValueError, match="condition"):
+                select(s, 3, OrderCriterion.BIC)
+
+
+def _stable_var(seed: int, d: int, k: int, radius: float) -> VarModel:
+    """Random VAR(k) rescaled so its companion spectral radius is radius."""
+    phi = np.random.default_rng(seed).normal(size=(k, d, d))
+    rho = np.max(np.abs(np.linalg.eigvals(companion_matrix(VarModel(phi, np.eye(d))))))
+    # Phi_j -> c^j Phi_j scales every companion eigenvalue by c
+    scale = (radius / rho) ** np.arange(1, k + 1)
+    return VarModel(phi * scale[:, None, None], np.eye(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.3, max_value=0.95),
+    st.sampled_from(list(OrderCriterion)),
+)
+def test_select_order_matches_per_order_lstsq(seed, d, k_true, k_max, radius, criterion):
+    # the single QR must pick the order that one lstsq solve per order picks
+    s = simulate_var(_stable_var(seed, d, k_true, radius), 400, seed=seed)
+    assert select_order(s, k_max, criterion) == reference_select_order.select_order(
+        s, k_max, criterion
+    )
 
 
 class TestSerialization:
