@@ -1,5 +1,6 @@
-"""Artifact files: the one JSON format of every artifact (indent 2, sorted
-keys, newline), and the atomic write that every artifact goes through."""
+"""Artifact files: the one JSON format of every artifact (compact, sorted
+keys, floats as repr, one trailing newline), and the atomic write that every
+artifact goes through."""
 
 from __future__ import annotations
 
@@ -31,9 +32,10 @@ def open_atomic(path: str) -> Iterator[TextIO]:
 
 
 def write_json(doc: dict[str, Any], path: str) -> None:
+    # json.dumps, unlike json.dump, encodes with CPython's C encoder
+    text = json.dumps(doc, sort_keys=True)
     with open_atomic(path) as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def read_json(path: str) -> dict[str, Any]:

@@ -169,7 +169,7 @@ def pdc_band(
         raise ValueError(f"fs_hz must be > 0, got {fs_hz}")
     if n_grid < 1:
         raise ValueError(f"n_grid must be >= 1, got {n_grid}")
-    if band.high_hz > fs_hz / 2 + 1e-12:
+    if band.high_hz > fs_hz / 2:
         raise ValueError(
             f"band {band.name!r} ends at {band.high_hz} Hz, beyond Nyquist {fs_hz / 2} Hz"
         )

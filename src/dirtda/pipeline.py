@@ -1,12 +1,18 @@
 """Windowed multi-band analysis pipeline.
 
 One VAR is fitted per time window; every (window, band) cell then yields a
-directed network, its decomposition, a persistence diagram, and landscapes.
+directed network, its |W_a| distance, a persistence diagram, and landscapes.
 Cells run one after another in config order and are independent: a failing
 cell, or a failing distance between two windows' diagrams, is recorded and
 skipped without aborting the run. All artifacts are
 written with stable ordering and fixed formatting, so a rerun on identical
 input is byte-identical.
+
+Only results that no other artifact of the run determines are written: the
+model, network and diagram of each cell, the plots, and report.json. The
+decomposition is decompose() of the network, and each landscape is
+landscape() of the diagram with the cell's t_max from the report, so
+neither gets a file of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .decomp import asym_distance, decompose, decomposition_to_dict
+from .decomp import asym_distance, decompose
 from .homology import (
     PersistenceDiagram,
     diagram_to_dict,
@@ -26,7 +32,7 @@ from .homology import (
     total_persistence,
 )
 from .ingest import load_series, segment, standardize
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 from .pdc import DEFAULT_BANDS, FrequencyBand, network_to_dict, pdc_band
 from .plots import plot_diagram, plot_landscape
 from .summaries import (
@@ -35,13 +41,14 @@ from .summaries import (
     bottleneck,
     landscape,
     landscape_distance,
-    landscape_to_dict,
     shared_t_max,
     wasserstein,
 )
 from .var import OrderCriterion, fit_var, select_order, var_model_to_dict
 
 __all__ = ["PipelineConfig", "AnalysisReport", "run_pipeline"]
+
+REPORT_NAME = "report.json"
 
 # every key of the flat JSON config; anything else is rejected as a typo
 CONFIG_KEYS = frozenset((
@@ -181,12 +188,33 @@ def _check_artifact_names(window_names: list[str], band_names: list[str]) -> Non
 def _cell(
     model, labels: tuple[str, ...], band: FrequencyBand, cfg: PipelineConfig
 ) -> dict[str, Any]:
-    """Network, decomposition, and diagram for one (window, band) cell."""
+    """Network and diagram for one (window, band) cell."""
     net = pdc_band(model, band, cfg.sampling_rate_hz, cfg.n_grid, labels)
-    dec = decompose(net)
-    dist = asym_distance(dec)
-    diagram = persistence(rips_filtration(dist, cfg.max_dim))
-    return {"network": net, "decomposition": dec, "diagram": diagram}
+    diagram = persistence(rips_filtration(asym_distance(decompose(net)), cfg.max_dim))
+    return {"network": net, "diagram": diagram}
+
+
+def _listed_artifacts(out_dir: str) -> list[str]:
+    """File names that the report.json already in out_dir lists as artifacts.
+
+    A missing or unreadable report, or one without an artifacts list, lists
+    none. Only plain names are returned: never one with a directory part,
+    ".", ".." or report.json, so a report cannot point outside out_dir.
+    """
+    try:
+        doc = read_json(os.path.join(out_dir, REPORT_NAME))
+    except (OSError, ValueError):
+        return []
+    listed = doc.get("artifacts") if isinstance(doc, dict) else None
+    if not isinstance(listed, list):
+        return []
+    return [
+        name
+        for name in listed
+        if isinstance(name, str)
+        and name == os.path.basename(name)
+        and name not in ("", ".", "..", REPORT_NAME)
+    ]
 
 
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
@@ -196,9 +224,12 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     failures, and per window pair failures of the distance phase (with
     window "a|b"), are collected in report.failures rather than raised.
     Names whose artifacts would share a file are rejected before any file
-    is written.
+    is written. Files that a report.json already in out_dir lists, and that
+    this run does not write, are removed before the new report is written,
+    so out_dir never holds results of an earlier config that look current.
     """
     report = AnalysisReport(config)
+    previous = _listed_artifacts(config.out_dir)
     series = load_series(config.input_path, config.sampling_rate_hz)
 
     windows = config.windows or (("full", 0.0, series.duration_sec),)
@@ -271,9 +302,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             cell_doc: dict[str, Any] = {"t_max": t_max, "total_persistence": {}}
 
             write_json(network_to_dict(cell["network"]), artifact(f"network_{stem}.json"))
-            write_json(
-                decomposition_to_dict(cell["decomposition"]), artifact(f"decomp_{stem}.json")
-            )
             write_json(diagram_to_dict(cell["diagram"]), artifact(f"diagram_{stem}.json"))
             plot_diagram(
                 cell["diagram"], artifact(f"diagram_{stem}.svg"), f"{w_name} / {band.name}"
@@ -289,7 +317,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                     t_max,
                 )
                 landscapes[dim] = ls
-                write_json(landscape_to_dict(ls), artifact(f"landscape_{stem}_dim{dim}.json"))
                 plot_landscape(
                     ls,
                     artifact(f"landscape_{stem}_dim{dim}.svg"),
@@ -334,6 +361,13 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         if band_dist:
             report.distances[band.name] = band_dist
 
-    write_json(report.to_dict(), os.path.join(config.out_dir, "report.json"))
-    report.artifacts.append("report.json")
+    # results of an earlier config that this run did not rewrite
+    written = set(report.artifacts)
+    for name in previous:
+        path = os.path.join(config.out_dir, name)
+        if name not in written and os.path.isfile(path):
+            os.remove(path)
+
+    write_json(report.to_dict(), os.path.join(config.out_dir, REPORT_NAME))
+    report.artifacts.append(REPORT_NAME)
     return report

@@ -2,14 +2,14 @@ import os
 
 import pytest
 
-from dirtda.jsonio import read_json, write_json
+from dirtda.jsonio import open_atomic, read_json, write_json
 
 
 def test_failed_write_keeps_previous_file(tmp_path):
     path = tmp_path / "doc.json"
     write_json({"a": 1}, str(path))
     before = path.read_bytes()
-    # json.dump writes "a" before it reaches the value it cannot encode
+    # the encoder rejects the value, so the file keeps its previous content
     with pytest.raises(TypeError):
         write_json({"a": 2, "b": object()}, str(path))
     assert path.read_bytes() == before
@@ -17,9 +17,21 @@ def test_failed_write_keeps_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["doc.json"]
 
 
+def test_failed_block_removes_partial_temp_file(tmp_path):
+    path = tmp_path / "doc.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError):
+        with open_atomic(str(path)) as handle:
+            handle.write("partly written")
+            handle.flush()
+            raise RuntimeError("interrupted")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["doc.txt"]
+
+
 def test_write_replaces_file(tmp_path):
     path = tmp_path / "doc.json"
     write_json({"a": 1}, str(path))
     write_json({"b": [1, 2]}, str(path))
-    assert path.read_text(encoding="utf-8") == '{\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    assert path.read_text(encoding="utf-8") == '{"b": [1, 2]}\n'
     assert os.listdir(tmp_path) == ["doc.json"]

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +153,27 @@ class TestPdcBand:
         m = VarModel(np.zeros((1, 2, 2)), np.eye(2))
         with pytest.raises(ValueError, match="Nyquist"):
             pdc_band(m, FrequencyBand("hi", 40.0, 60.0), fs_hz=100.0)
+
+    @pytest.mark.parametrize(
+        "fs_hz, past_hz",
+        [
+            (100.0, 50.0 + 5e-13),
+            (1000.0 / 3.0, math.nextafter(500.0 / 3.0, math.inf)),
+            (0.7, math.nextafter(0.35, math.inf)),
+        ],
+    )
+    def test_nyquist_edge(self, fs_hz, past_hz):
+        # (fs/2)/fs is exactly 0.5, so a band ending at Nyquist evaluates there,
+        # and one ending any later is refused by the band check alone
+        m = random_stable_var(np.random.default_rng(8), 3, 2)
+        nyquist = fs_hz / 2
+        net = pdc_band(m, FrequencyBand("top", nyquist / 2, nyquist), fs_hz, n_grid=4)
+        expected = np.zeros((3, 3))
+        for omega in np.linspace(0.25, 0.5, 4).tolist():
+            expected += pdc_at(m, omega)
+        assert np.allclose(net.weights, expected / 4, atol=1e-15)
+        with pytest.raises(ValueError, match=re.escape(f"ends at {past_hz} Hz, beyond Nyquist")):
+            pdc_band(m, FrequencyBand("past", nyquist / 2, past_hz), fs_hz, n_grid=4)
 
     def test_default_labels(self):
         m = VarModel(np.zeros((1, 3, 3)), np.eye(3))

@@ -10,6 +10,8 @@ from dirtda import (
     asym_distance,
     decompose,
     fit_var,
+    landscape,
+    landscape_distance,
     load_diagram,
     load_series,
     pdc_band,
@@ -19,10 +21,14 @@ from dirtda import (
     run_pipeline,
     save_series,
     segment,
+    shared_t_max,
     standardize,
     system_two,
 )
+from dirtda.cli import main
 from dirtda.jsonio import read_json
+from dirtda.pdc import network_from_dict
+from dirtda.summaries import landscape_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +188,96 @@ class TestRunPipeline:
         assert set(report.distances["peak"]) == {"w1|w2", "w2|w3"}
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["failures"] == report.failures
+
+
+class TestArtifactContract:
+    """run writes only what no other file of out_dir determines."""
+
+    BANDS = (FrequencyBand("a", 0.1, 0.2), FrequencyBand("b", 0.2, 0.3))
+
+    def test_dropped_artifacts_rebuild_bit_for_bit(self, series_csv, tmp_path):
+        out = tmp_path / "out"
+        cfg = config(series_csv, str(out), bands=self.BANDS)
+        assert run_pipeline(cfg).n_succeeded == 4
+        assert not [
+            name
+            for name in os.listdir(out)
+            if name.startswith("decomp_")
+            or (name.startswith("landscape_") and name.endswith(".json"))
+        ]
+        doc = read_json(str(out / "report.json"))
+        levels = (cfg.landscape_k_max, cfg.landscape_n_grid)
+
+        series = load_series(series_csv, 1.0)
+        for band in cfg.bands:
+            chain = {}
+            for w, lo, hi in cfg.windows:
+                win = standardize(segment(series, lo, hi))
+                net = pdc_band(fit_var(win, 3), band, 1.0, cfg.n_grid, win.channel_labels)
+                dec = decompose(net)
+                chain[w] = (dec, persistence(rips_filtration(asym_distance(dec), 2)))
+            t_max = doc["cells"]["w1"][band.name]["t_max"]
+            assert t_max == shared_t_max(*(dia for _, dia in chain.values()))
+            assert doc["cells"]["w2"][band.name]["t_max"] == t_max
+
+            rebuilt = {}
+            for w, (dec, dia) in chain.items():
+                stem = f"{w}_{band.name}"
+                got = decompose(network_from_dict(read_json(str(out / f"network_{stem}.json"))))
+                assert np.array_equal(got.w_s, dec.w_s)
+                assert np.array_equal(got.w_a, dec.w_a)
+                assert np.array_equal(asym_distance(got).dist, asym_distance(dec).dist)
+                stored = load_diagram(str(out / f"diagram_{stem}.json"))
+                rebuilt[w] = [landscape(stored, k, *levels, t_max) for k in range(3)]
+                for k, ls in enumerate(rebuilt[w]):
+                    want = landscape(dia, k, *levels, t_max)
+                    assert np.array_equal(ls.grid, want.grid)
+                    assert np.array_equal(ls.levels, want.levels)
+            for k in range(3):
+                l2 = landscape_distance(rebuilt["w1"][k], rebuilt["w2"][k], 2)
+                assert l2 == doc["distances"][band.name]["w1|w2"][str(k)]["landscape_l2"]
+
+        # the stage commands rebuild the same files from the kept ones
+        dec, _ = chain["w2"]  # band b, the last of the loop
+        dec_path, land_path = tmp_path / "decomp.json", tmp_path / "landscape.json"
+        assert main(["decompose", "--network", str(out / "network_w2_b.json"),
+                     "--out", str(dec_path)]) == 0
+        from_cli = read_json(str(dec_path))
+        for key, want in (("w_s", dec.w_s), ("w_a", dec.w_a), ("dist", asym_distance(dec).dist)):
+            assert np.array_equal(np.array(from_cli[key]), want)
+        assert main(["landscape", "--diagram", str(out / "diagram_w2_b.json"), "--dim", "1",
+                     "--k-max", str(levels[0]), "--n-grid", str(levels[1]),
+                     "--t-max", repr(t_max), "--out", str(land_path)]) == 0
+        from_cli = landscape_from_dict(read_json(str(land_path)))
+        assert np.array_equal(from_cli.grid, rebuilt["w2"][1].grid)
+        assert np.array_equal(from_cli.levels, rebuilt["w2"][1].levels)
+
+    def test_rerun_removes_what_the_previous_report_listed(self, series_csv, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(config(series_csv, str(out), bands=self.BANDS))
+        (out / "notes.txt").write_text("never listed\n", encoding="utf-8")
+        run_pipeline(config(series_csv, str(out), bands=self.BANDS[:1]))
+        listed = read_json(str(out / "report.json"))["artifacts"]
+        # 2 models; per cell a network, a diagram, its plot and 3 landscape plots
+        assert len(listed) == 2 + 2 * 6
+        assert set(os.listdir(out)) == set(listed) | {"report.json", "notes.txt"}
+
+    def test_previous_report_cannot_reach_outside_out_dir(self, series_csv, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        victims = [tmp_path / "victim.txt", out / "sub" / "notes.txt"]
+        for path in victims:
+            path.write_text("keep\n", encoding="utf-8")
+        listed = ["../victim.txt", str(victims[0]), "sub/notes.txt", "sub", ".", "..", ""]
+        (out / "report.json").write_text(json.dumps({"artifacts": listed}), encoding="utf-8")
+        report = run_pipeline(config(series_csv, str(out)))
+        assert all(path.read_text(encoding="utf-8") == "keep\n" for path in victims)
+        assert set(os.listdir(out)) == set(report.artifacts) | {"sub"}
+
+    @pytest.mark.parametrize("planted", ["{not json", "[]", '{"artifacts": "model_w1.json"}'])
+    def test_unusable_previous_report_is_ignored(self, series_csv, tmp_path, planted):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text(planted, encoding="utf-8")
+        report = run_pipeline(config(series_csv, str(out)))
+        assert read_json(str(out / "report.json"))["artifacts"] == sorted(report.artifacts[:-1])
