@@ -12,7 +12,6 @@ Usage:
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -21,13 +20,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from dirtda import (
     PipelineConfig,
     analysis_band,
-    load_diagram,
     realize,
     run_pipeline,
     save_series,
     system_one,
     system_two,
 )
+from dirtda.jsonio import write_json
 
 
 def run_one(system, name, t, seed, out_root):
@@ -46,10 +45,7 @@ def run_one(system, name, t, seed, out_root):
     report = run_pipeline(cfg)
     if report.failures:
         raise RuntimeError(f"{name} seed {seed}: {report.failures}")
-    band = analysis_band().name
-    diagram = load_diagram(os.path.join(out_dir, f"diagram_full_{band}.json"))
-    cell = report.cells["full"][band]
-    return cell["total_persistence"]["1"], diagram
+    return report.cells["full"][analysis_band().name]["total_persistence"]["1"]
 
 
 def main(argv=None):
@@ -61,8 +57,8 @@ def main(argv=None):
 
     rows = []
     for seed in range(args.seeds):
-        acyclic, _ = run_one(system_one(), "system_one", args.t, seed, args.out)
-        cyclic, _ = run_one(system_two(), "system_two", args.t, seed, args.out)
+        acyclic = run_one(system_one(), "system_one", args.t, seed, args.out)
+        cyclic = run_one(system_two(), "system_two", args.t, seed, args.out)
         rows.append((seed, acyclic, cyclic))
 
     print(f"total dim-1 persistence of |W_a|, band {analysis_band().name}")
@@ -80,9 +76,7 @@ def main(argv=None):
         ],
     }
     path = os.path.join(args.out, "summary.json")
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, path)
     print(f"artifacts under {args.out}/, summary at {path}")
     return 0 if n_wins == len(rows) else 1
 

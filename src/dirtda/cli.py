@@ -4,7 +4,8 @@ Stage subcommands (simulate, fit, pdc, decompose, persist, landscape,
 compare) each read and write the JSON formats owned by the corresponding
 module, so the full pipeline can be reproduced one artifact at a time.
 The run subcommand executes everything in one shot from a flat JSON
-config; every config key can be overridden by a flag.
+config; a flag overrides each config key but landscape_k_max,
+landscape_n_grid and wasserstein_q, which have none.
 
 Exit codes: 0 success, 1 hard error, 2 partial-cell failures in run.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Any
 
@@ -32,17 +32,14 @@ from .homology import (
 from .ingest import load_series, save_series, segment, standardize
 from .jsonio import read_json, write_json
 from .pdc import DEFAULT_BANDS, FrequencyBand, network_from_dict, network_to_dict, pdc_band
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import CONFIG_KEYS, PipelineConfig, diagram_distances, run_pipeline
 from .plots import plot_diagram, plot_landscape
 from .summaries import (
     DEFAULT_K_MAX,
     DEFAULT_N_GRID,
-    bottleneck,
     landscape,
-    landscape_distance,
     landscape_to_dict,
     shared_t_max,
-    wasserstein,
 )
 from .simulate import realize, system_one, system_two
 from .var import (
@@ -92,20 +89,9 @@ def _bands_doc(specs: list[str]) -> dict[str, list[float]]:
     return {band.name: [band.low_hz, band.high_hz] for band in map(_parse_band, specs)}
 
 
-# config key -> conversion of the run flag whose dest is that key (None: as is)
-_RUN_OVERRIDES = {
-    "input": None,
-    "fs_hz": None,
-    "out_dir": None,
-    "windows": _windows_doc,
-    "bands": _bands_doc,
-    "order": None,
-    "select_k_max": None,
-    "criterion": None,
-    "n_grid": None,
-    "max_dim": None,
-    "standardize": None,
-}
+# every run flag's dest is the config key it overrides; these two flags'
+# values are converted to that key's JSON form, the others are taken as is
+_RUN_OVERRIDES = {"windows": _windows_doc, "bands": _bands_doc}
 
 
 def _load_window(args: argparse.Namespace):
@@ -177,14 +163,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     t_max = shared_t_max(dia_a, dia_b)
     ls_a = landscape(dia_a, args.dim, args.k_max, args.n_grid, t_max)
     ls_b = landscape(dia_b, args.dim, args.k_max, args.n_grid, t_max)
-    bot = bottleneck(dia_a, dia_b, args.dim)
-    was = wasserstein(dia_a, dia_b, args.dim, args.q)
-    doc = {
-        "dim": args.dim,
-        "bottleneck": bot if math.isfinite(bot) else "inf",
-        "wasserstein": was if math.isfinite(was) else "inf",
-        "landscape_l2": landscape_distance(ls_a, ls_b, 2),
-    }
+    doc = {"dim": args.dim, **diagram_distances(dia_a, dia_b, ls_a, ls_b, args.dim, args.q)}
     if args.out:
         write_json(doc, args.out)
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -194,13 +173,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     doc: dict[str, Any] = read_json(args.config) if args.config else {}
     # flags override config keys; absent flags leave the config untouched
-    for key, convert in _RUN_OVERRIDES.items():
-        value = getattr(args, key)
+    for key in sorted(CONFIG_KEYS):
+        value = getattr(args, key, None)
         if value is not None:
-            doc[key] = convert(value) if convert else value
-    for key in ("input", "fs_hz", "out_dir"):
-        if key not in doc:
-            raise ValueError(f"missing required config key {key!r} (config file or flag)")
+            doc[key] = _RUN_OVERRIDES[key](value) if key in _RUN_OVERRIDES else value
 
     report = run_pipeline(PipelineConfig.from_dict(doc))
     if not report.failures:

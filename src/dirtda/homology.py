@@ -17,15 +17,17 @@ as boundary reduction (de Silva, Morozov & Vejdemo-Johansson, "Dualities
 in persistent (co)homology", 2011), with the shortcuts of Ripser (Bauer,
 J. Appl. Comput. Topol. 2021):
 
-- dimension 0 is union-find over the edges in filtration order; the edges
-  that merge two components pair with a vertex and are cleared as
-  dimension-1 columns;
-- in dimension k >= 1 the coboundary column of a k-simplex holds its
-  (k+1)-cofacets and its pivot is the earliest of them. Columns are
-  reduced in reverse filtration order. A k-simplex whose earliest cofacet
-  has it as latest facet forms an apparent pair, which is read off
-  without reduction, and a column is cleared when its simplex is the
-  pivot of a column one dimension lower.
+- in every dimension k, from 0 to max_dim, the coboundary column of a
+  k-simplex holds its (k+1)-cofacets and its pivot is the earliest of
+  them. Columns are reduced in reverse filtration order;
+- a k-simplex whose earliest cofacet has it as latest facet forms an
+  apparent pair, which is read off without reduction;
+- a column is cleared when its simplex is the pivot of a column one
+  dimension lower, so the dimension-1 columns of the edges that joined two
+  components in dimension 0 are never reduced.
+
+The one essential 0-class is the vertex column that reduces to zero: the
+kept complex is a cone, hence connected.
 
 Zero-persistence pairs are dropped from diagrams.
 """
@@ -143,25 +145,6 @@ def _facet_ranks(lower: np.ndarray, upper: np.ndarray, n: int) -> np.ndarray:
     return ranks
 
 
-def _merging_edges(edges: np.ndarray, n: int) -> list[int]:
-    """Ranks of the edges that join two components, in filtration order."""
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    merging = []
-    for rank, (a, b) in enumerate(edges.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[rb] = ra
-            merging.append(rank)
-    return merging
-
-
 def _coboundaries(facets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Cofacet ranks of m k-simplices, given the facets of each (k+1)-simplex.
 
@@ -194,7 +177,9 @@ def _cohomology_pairs(
     cleared marks the k-simplices already paired one dimension lower;
     facets[t] holds the k-simplex ranks of the facets of (k+1)-simplex t.
     Returns (births, deaths, essential): paired k- and (k+1)-simplex ranks
-    and the ranks of k-simplices whose column reduced to zero.
+    and the ranks of k-simplices whose column reduced to zero. A cleared
+    column would reduce to zero too, so cleared must hold every death of
+    dimension k - 1, or those simplices come out as essential classes.
     """
     cobound, start = _coboundaries(facets, len(cleared))
     apparent_births, apparent_deaths = _apparent_pairs(facets, cobound, start)
@@ -234,13 +219,9 @@ def _cohomology_pairs(
 def persistence(filtration: Filtration) -> PersistenceDiagram:
     """Persistence pairs of the filtration in dimensions 0..max_dim."""
     vertices, values = filtration.vertices, filtration.values
-    out: list[tuple[int, float, float]] = [(0, 0.0, math.inf)]
-    merging = _merging_edges(vertices[1], filtration.n_nodes)
-    out += [(0, 0.0, death) for death in values[1][merging].tolist() if death > 0.0]
-
-    cleared = np.zeros(len(values[1]), dtype=bool)
-    cleared[merging] = True
-    for k in range(1, filtration.max_dim + 1):
+    out: list[tuple[int, float, float]] = []
+    cleared = np.zeros(filtration.n_nodes, dtype=bool)
+    for k in range(filtration.max_dim + 1):
         facets = _facet_ranks(vertices[k], vertices[k + 1], filtration.n_nodes)
         births, deaths, essential = _cohomology_pairs(cleared, facets)
         for birth, death in zip(values[k][births].tolist(), values[k + 1][deaths].tolist()):

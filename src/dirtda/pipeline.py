@@ -21,7 +21,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .decomp import asym_distance, decompose
 from .homology import (
@@ -38,6 +38,7 @@ from .plots import plot_diagram, plot_landscape
 from .summaries import (
     DEFAULT_K_MAX,
     DEFAULT_N_GRID,
+    PersistenceLandscape,
     bottleneck,
     landscape,
     landscape_distance,
@@ -46,16 +47,56 @@ from .summaries import (
 )
 from .var import OrderCriterion, fit_var, select_order, var_model_to_dict
 
-__all__ = ["PipelineConfig", "AnalysisReport", "run_pipeline"]
+__all__ = ["PipelineConfig", "AnalysisReport", "run_pipeline", "diagram_distances"]
 
 REPORT_NAME = "report.json"
 
-# every key of the flat JSON config; anything else is rejected as a typo
-CONFIG_KEYS = frozenset((
-    "input", "fs_hz", "out_dir", "windows", "bands", "order", "select_k_max",
-    "criterion", "n_grid", "max_dim", "standardize", "landscape_k_max",
-    "landscape_n_grid", "wasserstein_q",
-))
+
+def _span(value: Any) -> tuple[float, float]:
+    """[start, end] as exactly two JSON numbers."""
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise ValueError(f"expected [start, end], two numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
+def _named_spans(value: Any) -> tuple[tuple[str, float, float], ...]:
+    """{name: [start, end]} as (name, start, end), sorted by name."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected {{name: [start, end]}}, got {value!r}")
+    return tuple((str(name), *_span(span)) for name, span in sorted(value.items()))
+
+
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+# every key of the flat JSON config -> (PipelineConfig field, parser of its
+# value); anything else is rejected as a typo, and an absent key leaves the
+# field's default
+_CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
+    "input": ("input_path", str),
+    "fs_hz": ("sampling_rate_hz", float),
+    "out_dir": ("out_dir", str),
+    "windows": ("windows", _named_spans),
+    "bands": ("bands", lambda v: tuple(FrequencyBand(*span) for span in _named_spans(v))),
+    "order": ("order", int),
+    "select_k_max": ("select_k_max", lambda v: None if v is None else int(v)),
+    "criterion": ("criterion", str),
+    "n_grid": ("n_grid", int),
+    "max_dim": ("max_dim", int),
+    "standardize": ("standardize", _boolean),
+    "landscape_k_max": ("landscape_k_max", int),
+    "landscape_n_grid": ("landscape_n_grid", int),
+    "wasserstein_q": ("wasserstein_q", float),
+}
+CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
+_REQUIRED_KEYS = ("input", "fs_hz", "out_dir")
 
 
 @dataclass(frozen=True)
@@ -85,38 +126,22 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(doc: dict[str, Any]) -> "PipelineConfig":
+        """Config from its flat JSON form; an unknown or missing required
+        key, or a value that does not parse, raises ValueError naming it."""
         unknown = sorted(set(doc) - CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        windows = tuple(
-            (str(name), float(lohi[0]), float(lohi[1]))
-            for name, lohi in sorted(doc.get("windows", {}).items())
-        )
-        if "bands" in doc:
-            bands = tuple(
-                FrequencyBand(str(name), float(lohi[0]), float(lohi[1]))
-                for name, lohi in sorted(doc["bands"].items())
-            )
-        else:
-            bands = DEFAULT_BANDS
-        return PipelineConfig(
-            input_path=str(doc["input"]),
-            sampling_rate_hz=float(doc["fs_hz"]),
-            out_dir=str(doc["out_dir"]),
-            windows=windows,
-            bands=bands,
-            order=int(doc.get("order", 5)),
-            select_k_max=(
-                int(doc["select_k_max"]) if doc.get("select_k_max") is not None else None
-            ),
-            criterion=str(doc.get("criterion", "bic")),
-            n_grid=int(doc.get("n_grid", 32)),
-            max_dim=int(doc.get("max_dim", 2)),
-            standardize=bool(doc.get("standardize", True)),
-            landscape_k_max=int(doc.get("landscape_k_max", DEFAULT_K_MAX)),
-            landscape_n_grid=int(doc.get("landscape_n_grid", DEFAULT_N_GRID)),
-            wasserstein_q=float(doc.get("wasserstein_q", 1.0)),
-        )
+        fields = {}
+        for key, (name, parse) in _CONFIG_FIELDS.items():
+            if key not in doc:
+                if key in _REQUIRED_KEYS:
+                    raise ValueError(f"config key {key!r}: required but missing")
+                continue
+            try:
+                fields[name] = parse(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        return PipelineConfig(**fields)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -192,6 +217,28 @@ def _cell(
     net = pdc_band(model, band, cfg.sampling_rate_hz, cfg.n_grid, labels)
     diagram = persistence(rips_filtration(asym_distance(decompose(net)), cfg.max_dim))
     return {"network": net, "diagram": diagram}
+
+
+def diagram_distances(
+    dia_a: PersistenceDiagram,
+    dia_b: PersistenceDiagram,
+    ls_a: PersistenceLandscape,
+    ls_b: PersistenceLandscape,
+    dim: int,
+    q: float,
+) -> dict[str, Any]:
+    """Bottleneck, q-Wasserstein and landscape L2 distances in one dimension.
+
+    ls_a and ls_b are the two diagrams' landscapes in dim on one grid. An
+    infinite distance is written "inf", as JSON has no infinity.
+    """
+    was = wasserstein(dia_a, dia_b, dim, q)
+    bot = bottleneck(dia_a, dia_b, dim)
+    return {
+        "bottleneck": bot if math.isfinite(bot) else "inf",
+        "wasserstein": was if math.isfinite(was) else "inf",
+        "landscape_l2": landscape_distance(ls_a, ls_b, 2),
+    }
 
 
 def _listed_artifacts(out_dir: str) -> list[str]:
@@ -334,20 +381,19 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         for i in range(len(present)):
             for j in range(i + 1, len(present)):
                 wa, wb = present[i], present[j]
-                dia_a: PersistenceDiagram = results[(wa, band.name)]["diagram"]
-                dia_b: PersistenceDiagram = results[(wb, band.name)]["diagram"]
-                by_dim = {}
+                cell_a, cell_b = results[(wa, band.name)], results[(wb, band.name)]
                 try:
-                    for dim in range(config.max_dim + 1):
-                        ls_a = results[(wa, band.name)]["landscapes"][dim]
-                        ls_b = results[(wb, band.name)]["landscapes"][dim]
-                        was = wasserstein(dia_a, dia_b, dim, config.wasserstein_q)
-                        bot = bottleneck(dia_a, dia_b, dim)
-                        by_dim[str(dim)] = {
-                            "bottleneck": bot if math.isfinite(bot) else "inf",
-                            "wasserstein": was if math.isfinite(was) else "inf",
-                            "landscape_l2": landscape_distance(ls_a, ls_b, 2),
-                        }
+                    by_dim = {
+                        str(dim): diagram_distances(
+                            cell_a["diagram"],
+                            cell_b["diagram"],
+                            cell_a["landscapes"][dim],
+                            cell_b["landscapes"][dim],
+                            dim,
+                            config.wasserstein_q,
+                        )
+                        for dim in range(config.max_dim + 1)
+                    }
                 except Exception as exc:  # one pair's failure must not end the run
                     report.failures.append(
                         {

@@ -40,13 +40,9 @@ __all__ = [
     "realize",
     "analysis_band",
     "DEFAULT_GAIN",
-    "DEFAULT_AR_COEFFS",
 ]
 
 DEFAULT_GAIN = 0.4
-
-# generic fallback innovation: a sharply peaked AR(2)
-DEFAULT_AR_COEFFS = (0.9, -0.8)
 
 # Per-node AR(2) resonances for the two benchmarks, as (root angle in
 # cycles/sample, root modulus); a1 = 2 rho cos(2 pi f), a2 = -rho^2.
@@ -65,7 +61,6 @@ class Edge:
     source: int
     target: int
     gain: float
-    lag: int = 1
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,6 @@ class LaggedSystem:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         for e in self.edges:
-            if e.lag != 1:
-                raise ValueError("only lag-1 mixing is supported")
             if not (0 <= e.source < self.n_nodes and 0 <= e.target < self.n_nodes):
                 raise ValueError(f"edge {e} references a node outside 0..{self.n_nodes - 1}")
             if e.source == e.target:

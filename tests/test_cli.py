@@ -158,6 +158,44 @@ class TestRunCommand:
         assert not out.exists()
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("windows", [[0, 1]]),
+            ("windows", {"w": [1]}),
+            ("windows", {"w": [0, 1, 2]}),
+            ("bands", {"a": 5}),
+            ("fs_hz", None),
+            ("order", "x"),
+            ("standardize", "false"),
+        ],
+        ids=["windows-list", "span-one-number", "span-three-numbers", "band-number",
+             "fs_hz-null", "order-text", "standardize-text"],
+    )
+    def test_bad_value_names_its_key(self, workdir, config_path, capsys, key, value):
+        doc = dict(json.loads(config_path.read_text()), **{key: value})
+        path = workdir / "config_bad.json"
+        path.write_text(json.dumps(doc))
+        assert run("run", "--config", path, "--out-dir", workdir / "run_bad") == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+
+class TestCompareMatchesRun:
+    def test_compare_reproduces_report_distances(self, workdir, config_path, capsys):
+        # with two windows the pair's shared t_max is the band's t_max
+        out = workdir / "run_cmp"
+        assert run("run", "--config", config_path, "--out-dir", out) == 0
+        capsys.readouterr()
+        report = read_json(out / "report.json")
+        for dim in range(3):
+            assert run("compare", "--a", out / "diagram_w1_peak.json",
+                       "--b", out / "diagram_w2_peak.json", "--dim", dim) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc.pop("dim") == dim
+            assert doc == report["distances"]["peak"]["w1|w2"][str(dim)]
+
+
 class TestArgErrors:
     def test_bad_band_syntax(self, workdir, capsys):
         assert run("pdc", "--model", workdir / "model.json", "--band",
