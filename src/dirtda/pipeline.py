@@ -52,12 +52,38 @@ __all__ = ["PipelineConfig", "AnalysisReport", "run_pipeline", "diagram_distance
 REPORT_NAME = "report.json"
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value: Any) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any) -> float:
+    if not _is_number(value):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _path(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a path string, got {value!r}")
+    return value
+
+
+def _criterion(value: Any) -> str:
+    return OrderCriterion(value).value
+
+
 def _span(value: Any) -> tuple[float, float]:
     """[start, end] as exactly two JSON numbers."""
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not all(map(_is_number, value))
     ):
         raise ValueError(f"expected [start, end], two numbers, got {value!r}")
     return float(value[0]), float(value[1])
@@ -80,20 +106,20 @@ def _boolean(value: Any) -> bool:
 # value); anything else is rejected as a typo, and an absent key leaves the
 # field's default
 _CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
-    "input": ("input_path", str),
-    "fs_hz": ("sampling_rate_hz", float),
-    "out_dir": ("out_dir", str),
+    "input": ("input_path", _path),
+    "fs_hz": ("sampling_rate_hz", _number),
+    "out_dir": ("out_dir", _path),
     "windows": ("windows", _named_spans),
     "bands": ("bands", lambda v: tuple(FrequencyBand(*span) for span in _named_spans(v))),
-    "order": ("order", int),
-    "select_k_max": ("select_k_max", lambda v: None if v is None else int(v)),
-    "criterion": ("criterion", str),
-    "n_grid": ("n_grid", int),
-    "max_dim": ("max_dim", int),
+    "order": ("order", _integer),
+    "select_k_max": ("select_k_max", lambda v: None if v is None else _integer(v)),
+    "criterion": ("criterion", _criterion),
+    "n_grid": ("n_grid", _integer),
+    "max_dim": ("max_dim", _integer),
     "standardize": ("standardize", _boolean),
-    "landscape_k_max": ("landscape_k_max", int),
-    "landscape_n_grid": ("landscape_n_grid", int),
-    "wasserstein_q": ("wasserstein_q", float),
+    "landscape_k_max": ("landscape_k_max", _integer),
+    "landscape_n_grid": ("landscape_n_grid", _integer),
+    "wasserstein_q": ("wasserstein_q", _number),
 }
 CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
 _REQUIRED_KEYS = ("input", "fs_hz", "out_dir")

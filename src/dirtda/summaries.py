@@ -1,10 +1,12 @@
 """Persistence landscapes and distances between persistence diagrams.
 
 Landscapes sample the k largest tent functions of a diagram on a uniform
-grid. Bottleneck distance is exact, via binary search over candidate radii
-with a Hopcroft-Karp perfect-matching feasibility check; Wasserstein
-distance is solved as an assignment problem on the diagonally augmented
-point sets with infinity-norm ground metric.
+grid. Bottleneck distance is exact: a Hopcroft-Karp perfect-matching check
+at the lower bound every row and column of the augmented graph imposes
+settles most pairs, and otherwise a binary search over the candidate radii
+above it runs up to the diagonal bound. Wasserstein distance is solved as
+an assignment problem on the diagonally augmented point sets with
+infinity-norm ground metric.
 """
 
 from __future__ import annotations
@@ -199,6 +201,13 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     Finite points may be matched to each other or to their diagonal
     projections; points with infinite death must be matched to each other
     (sorted by birth), and a mismatch in their counts gives +inf.
+
+    The finite part is the smallest edge radius at which the augmented
+    graph has a perfect matching. No radius below the largest of the row
+    and column minima can work, so that lower bound is checked first; when
+    it fails, a binary search over the edge radii above it runs up to the
+    largest half-lifetime, where matching every point to the diagonal is
+    always perfect.
     """
     fin_a, inf_a = _split_points(a, dim)
     fin_b, inf_b = _split_points(b, dim)
@@ -207,11 +216,17 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     inf_part = _infinite_part_max(inf_a, inf_b)
 
     radii = _edge_radii(fin_a, fin_b)
+    # every row and every column needs an edge, so no smaller radius is feasible
+    lb = max(radii.min(axis=1).max(), radii.min(axis=0).max()) if len(radii) else 0.0
+    if _matchable_within(radii, lb):
+        return max(float(lb), inf_part)
+    ub = max(_diag_gap(p) for p in fin_a + fin_b)
+    if not _matchable_within(radii, ub):
+        raise AssertionError("the diagonal bound must be feasible")
     ordered = np.union1d([0.0], radii[np.isfinite(radii)])
-    # smallest feasible radius; feasibility is monotone in the radius
-    lo, hi = 0, len(ordered) - 1
-    if not _matchable_within(radii, ordered[hi]):
-        raise AssertionError("largest candidate radius must be feasible")
+    # smallest feasible radius in (lb, ub]; feasibility is monotone in the radius
+    lo = int(np.searchsorted(ordered, lb, side="right"))
+    hi = int(np.searchsorted(ordered, ub))
     while lo < hi:
         mid = (lo + hi) // 2
         if _matchable_within(radii, ordered[mid]):

@@ -169,9 +169,18 @@ class TestMalformedConfig:
             ("fs_hz", None),
             ("order", "x"),
             ("standardize", "false"),
+            ("order", 5.7),
+            ("n_grid", 2.9),
+            ("max_dim", 1.5),
+            ("select_k_max", 2.5),
+            ("fs_hz", True),
+            ("input", None),
+            ("criterion", "xyz"),
         ],
         ids=["windows-list", "span-one-number", "span-three-numbers", "band-number",
-             "fs_hz-null", "order-text", "standardize-text"],
+             "fs_hz-null", "order-text", "standardize-text", "order-float",
+             "n_grid-float", "max_dim-float", "select_k_max-float", "fs_hz-bool",
+             "input-null", "criterion-unknown"],
     )
     def test_bad_value_names_its_key(self, workdir, config_path, capsys, key, value):
         doc = dict(json.loads(config_path.read_text()), **{key: value})

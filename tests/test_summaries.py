@@ -15,6 +15,7 @@ from dirtda import (
     shared_t_max,
     wasserstein,
 )
+from dirtda import summaries
 from dirtda.summaries import landscape_from_dict, landscape_to_dict
 
 
@@ -269,8 +270,31 @@ class TestBottleneck:
         b = diagram([(1, 2.0 * i + 0.9, 2.0 * i + 0.9 + 1e4) for i in range(1000)])
         assert bottleneck(a, b, 1) == pytest.approx(0.9, abs=1e-9)
 
+    def test_lower_bound_infeasible(self):
+        # lb ~ 0.1 (the second a-point's nearest edge), but both a-points then
+        # need the one b-point; the answer sends one of them to the diagonal
+        a = diagram([(1, 0.0, 2.0), (1, 0.1, 2.1)])
+        b = diagram([(1, 0.0, 2.0)])
+        assert bottleneck(a, b, 1) == 1.0
+
+    def test_feasible_lower_bound_needs_one_matching(self, monkeypatch):
+        calls, matchable_within = [], summaries._matchable_within
+
+        def counting(radii, radius):
+            calls.append(radius)
+            return matchable_within(radii, radius)
+
+        monkeypatch.setattr(summaries, "_matchable_within", counting)
+        a = diagram([(1, 0.0, 2.0)])
+        b = diagram([(1, 0.5, 2.5)])
+        assert bottleneck(a, b, 1) == 0.5
+        assert calls == [0.5]
+
     @settings(max_examples=200, deadline=None)
-    @given(quantized_diagrams(), quantized_diagrams())
+    @given(
+        st.one_of(quantized_diagrams(), small_diagrams()),
+        st.one_of(quantized_diagrams(), small_diagrams()),
+    )
     def test_matches_assignment_oracle(self, a, b):
         assert bottleneck(a, b, 1) == oracle_bottleneck(a.in_dim(1), b.in_dim(1))
 
