@@ -149,8 +149,7 @@ def _cmd_persist(args: argparse.Namespace) -> int:
 
 def _cmd_landscape(args: argparse.Namespace) -> int:
     diagram = load_diagram(args.diagram)
-    t_max = args.t_max if args.t_max is not None else shared_t_max(diagram)
-    ls = landscape(diagram, args.dim, args.k_max, args.n_grid, t_max)
+    ls = landscape(diagram, args.dim, args.k_max, args.n_grid, args.t_max)
     write_json(landscape_to_dict(ls), args.out)
     if args.plot:
         plot_landscape(ls, args.plot, f"landscape dim {args.dim}")

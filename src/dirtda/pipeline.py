@@ -365,7 +365,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             for w, _, _ in windows
             if (w, band.name) in results
         ]
-        t_max = shared_t_max(*band_diagrams) if band_diagrams else 1.0
+        t_max = shared_t_max(*band_diagrams)
         for w_name, _, _ in windows:
             key = (w_name, band.name)
             if key not in results:

@@ -2,12 +2,18 @@
 
 SVG is written directly, with fixed canvas geometry and fixed-precision
 coordinates, so repeated runs on identical inputs produce byte-identical
-files.
+files. A landscape level's polyline holds only its breakpoints: the first
+and last grid points and every point where the level changes value. The
+points it leaves out lie on the horizontal segment between their kept
+neighbours, so the drawn image is the same as with every grid point.
 """
 
 from __future__ import annotations
 
+import html
 import math
+
+import numpy as np
 
 from .homology import PersistenceDiagram
 from .jsonio import open_atomic
@@ -37,7 +43,7 @@ def _header(title: str) -> list[str]:
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>',
         f'<text x="{_W / 2:.0f}" y="22" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle" fill="#202020">{title}</text>',
+        f'text-anchor="middle" fill="#202020">{html.escape(title, quote=False)}</text>',
     ]
 
 
@@ -148,26 +154,29 @@ def plot_diagram(diagram: PersistenceDiagram, path: str, title: str = "persisten
 
 
 def plot_landscape(ls: PersistenceLandscape, path: str, title: str | None = None) -> None:
-    """Polyline per landscape level on the landscape's own grid."""
+    """Polyline per landscape level on the landscape's own grid.
+
+    Each polyline keeps a level's first and last grid points and every
+    point whose value differs from a neighbour's; the interior points of a
+    run of equal values are dropped, since they lie on the segment between
+    the run's ends.
+    """
     if title is None:
         title = f"persistence landscape (dim {ls.dim})"
     vmax_x = float(ls.grid[-1]) if ls.grid.size else 1.0
     vmax_y = float(ls.levels.max()) * 1.1 if ls.levels.size and ls.levels.max() > 0 else 1e-12
     vmax_x = vmax_x or 1e-12
-
-    def sx(v: float) -> float:
-        return _L + (v / vmax_x) * _PLOT_W
-
-    def sy(v: float) -> float:
-        return _T + _PLOT_H - (v / vmax_y) * _PLOT_H
+    xs = _L + (ls.grid / vmax_x) * _PLOT_W
+    ys = _T + _PLOT_H - (ls.levels / vmax_y) * _PLOT_H
 
     parts = _header(title)
     parts += _axes("t", "level value", vmax_x, vmax_y)
-    for k in range(ls.k_max):
+    for k, v in enumerate(ls.levels):
         color = _DIM_COLORS[k % len(_DIM_COLORS)]
+        keep = np.ones(v.size, dtype=bool)
+        keep[1:-1] = (v[1:-1] != v[:-2]) | (v[1:-1] != v[2:])
         pts = " ".join(
-            f"{_f(sx(float(t)))},{_f(sy(float(v)))}"
-            for t, v in zip(ls.grid, ls.levels[k])
+            f"{_f(x)},{_f(y)}" for x, y in zip(xs[keep].tolist(), ys[k][keep].tolist())
         )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

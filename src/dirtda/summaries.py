@@ -72,13 +72,14 @@ class PersistenceLandscape:
 def shared_t_max(*diagrams: PersistenceDiagram) -> float:
     """Common truncation scale: 1.05 x the largest finite death anywhere.
 
-    Falls back to 1.0 when no finite death exists, so degenerate diagrams
-    still produce a usable grid.
+    Falls back to 1.0 when no finite death is positive (none at all, or
+    every one 0), so degenerate diagrams still produce a usable grid.
     """
-    deaths = [
-        d for diagram in diagrams for _, _, d in diagram.pairs if math.isfinite(d)
-    ]
-    return T_MAX_HEADROOM * max(deaths) if deaths else 1.0
+    largest = max(
+        (d for diagram in diagrams for _, _, d in diagram.pairs if math.isfinite(d)),
+        default=0.0,
+    )
+    return T_MAX_HEADROOM * largest if largest > 0 else 1.0
 
 
 def landscape(

@@ -1,10 +1,19 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from dirtda import load_diagram, load_series, realize, save_series, system_one
+from dirtda import (
+    PersistenceDiagram,
+    load_diagram,
+    load_series,
+    realize,
+    save_diagram,
+    save_series,
+    system_one,
+)
 from dirtda.cli import main
 from dirtda.jsonio import read_json
 from dirtda.pdc import network_from_dict
@@ -88,6 +97,19 @@ class TestStageChain:
         ca = np.asarray(read_json(a)["coeffs"])
         cb = np.asarray(read_json(b)["coeffs"])
         assert not np.array_equal(ca, cb)
+
+    def test_landscape_of_zero_deaths_without_t_max(self, workdir):
+        dia = workdir / "zero_dia.json"
+        save_diagram(PersistenceDiagram(((0, 0.0, 0.0), (0, 0.0, 0.0),
+                                         (0, 0.0, math.inf))), str(dia))
+        land = workdir / "zero_land.json"
+        assert run("landscape", "--diagram", dia, "--dim", "0", "--k-max", "2",
+                   "--n-grid", "16", "--out", land, "--plot", workdir / "zero_land.svg") == 0
+        doc = read_json(land)
+        assert doc["grid"][-1] == 1.0
+        # the essential class is a tent truncated at t_max; the zero pairs add none
+        assert max(doc["levels"][0]) > 0.0
+        assert not any(doc["levels"][1])
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ class TestRunPipeline:
         listed = set(doc["artifacts"])
         assert listed == set(os.listdir(out)) - {"report.json"}  # written last
         assert report.artifacts[-1] == "report.json"
+
+    def test_svg_titles_escaped(self, series_csv, tmp_path):
+        out = tmp_path / "out"
+        band = FrequencyBand("R&D <1>", 0.18, 0.28)
+        assert run_pipeline(config(series_csv, str(out), bands=(band,))).n_succeeded == 2
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 2 * (1 + 3)  # per window: a diagram and 3 landscapes
+        for path in svgs:
+            title = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}text")
+            window = "w1" if "_w1_" in path.name else "w2"
+            want = f"{window} / R&D <1>"
+            if path.name.startswith("landscape_"):
+                want += f" dim {path.stem[-1]}"
+            assert title.text == want
 
     def test_integration_equals_composition(self, series_csv, tmp_path):
         # the pipeline's diagram for (w2, peak) must equal the chained module calls

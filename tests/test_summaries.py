@@ -185,6 +185,18 @@ class TestSharedTMax:
         assert shared_t_max(diagram([(0, 0.0, math.inf)])) == 1.0
         assert shared_t_max(EMPTY) == 1.0
 
+    def test_fallback_when_every_finite_death_is_zero(self):
+        zero = diagram([(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, math.inf)])
+        assert shared_t_max(zero) == 1.0
+        assert shared_t_max(zero, diagram([(1, 0.0, 0.0)])) == 1.0
+        ls = landscape(zero, dim=0, k_max=2, n_grid=8)
+        assert ls.grid[-1] == 1.0
+        assert ls.levels[1].max() == 0.0
+
+    def test_zero_deaths_do_not_mask_a_positive_one(self):
+        zero = diagram([(0, 0.0, 0.0)])
+        assert shared_t_max(zero, SINGLE) == pytest.approx(1.05 * 3.0)
+
 
 class TestLandscapeMean:
     def test_identity(self):
