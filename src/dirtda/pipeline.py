@@ -2,9 +2,17 @@
 
 One VAR is fitted per time window; every (window, band) cell then yields a
 directed network, its |W_a| distance, a persistence diagram, and landscapes.
-Cells run one after another in config order and are independent: a failing
-cell, or a failing distance between two windows' diagrams, is recorded and
-skipped without aborting the run. All artifacts are
+A run makes three passes, and each writes its results as it computes them:
+
+1. the fit pass fits each window's model and writes it;
+2. the cell pass, window by window, builds each cell's network and diagram,
+   writes both and the diagram's plot, and keeps only the diagram;
+3. the band pass, band by band, samples every window's landscapes on the
+   band's shared grid, plots them, and computes the distances between each
+   pair of windows.
+
+A failing window, cell, or window pair is recorded in report.failures, in
+that pass order, and skipped without aborting the run. All artifacts are
 written with stable ordering and fixed formatting, so a rerun on identical
 input is byte-identical.
 
@@ -17,6 +25,7 @@ neither gets a file of its own.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -33,7 +42,7 @@ from .homology import (
 )
 from .ingest import load_series, segment, standardize
 from .jsonio import read_json, write_json
-from .pdc import DEFAULT_BANDS, FrequencyBand, network_to_dict, pdc_band
+from .pdc import DEFAULT_BANDS, DirectedNetwork, FrequencyBand, network_to_dict, pdc_band
 from .plots import plot_diagram, plot_landscape
 from .summaries import (
     DEFAULT_K_MAX,
@@ -102,6 +111,24 @@ def _boolean(value: Any) -> bool:
     return value
 
 
+def _checked(
+    parse: Callable[[Any], Any], ok: Callable[[Any], bool], bound: str
+) -> Callable[[Any], Any]:
+    """parse, then reject a value outside its bound: a config that would fail
+    every cell, or stop a run after its first writes, fails before any write."""
+
+    def check(value: Any) -> Any:
+        parsed = parse(value)
+        if not ok(parsed):
+            raise ValueError(f"must be {bound}, got {value!r}")
+        return parsed
+
+    return check
+
+
+_positive = _checked(_integer, lambda v: v >= 1, ">= 1")
+
+
 # every key of the flat JSON config -> (PipelineConfig field, parser of its
 # value); anything else is rejected as a typo, and an absent key leaves the
 # field's default
@@ -111,15 +138,18 @@ _CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
     "out_dir": ("out_dir", _path),
     "windows": ("windows", _named_spans),
     "bands": ("bands", lambda v: tuple(FrequencyBand(*span) for span in _named_spans(v))),
-    "order": ("order", _integer),
-    "select_k_max": ("select_k_max", lambda v: None if v is None else _integer(v)),
+    "order": ("order", _positive),
+    "select_k_max": ("select_k_max", lambda v: None if v is None else _positive(v)),
     "criterion": ("criterion", _criterion),
-    "n_grid": ("n_grid", _integer),
-    "max_dim": ("max_dim", _integer),
+    "n_grid": ("n_grid", _positive),
+    "max_dim": ("max_dim", _checked(_integer, lambda v: v in (1, 2), "1 or 2")),
     "standardize": ("standardize", _boolean),
-    "landscape_k_max": ("landscape_k_max", _integer),
-    "landscape_n_grid": ("landscape_n_grid", _integer),
-    "wasserstein_q": ("wasserstein_q", _number),
+    "landscape_k_max": ("landscape_k_max", _positive),
+    "landscape_n_grid": ("landscape_n_grid", _checked(_integer, lambda v: v >= 2, ">= 2")),
+    "wasserstein_q": (
+        "wasserstein_q",
+        _checked(_number, lambda v: math.isfinite(v) and v >= 1, "finite and >= 1"),
+    ),
 }
 CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
 _REQUIRED_KEYS = ("input", "fs_hz", "out_dir")
@@ -170,22 +200,10 @@ class PipelineConfig:
         return PipelineConfig(**fields)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "input": self.input_path,
-            "fs_hz": self.sampling_rate_hz,
-            "out_dir": self.out_dir,
-            "windows": {name: [lo, hi] for name, lo, hi in self.windows},
-            "bands": {b.name: [b.low_hz, b.high_hz] for b in self.bands},
-            "order": self.order,
-            "select_k_max": self.select_k_max,
-            "criterion": self.criterion,
-            "n_grid": self.n_grid,
-            "max_dim": self.max_dim,
-            "standardize": self.standardize,
-            "landscape_k_max": self.landscape_k_max,
-            "landscape_n_grid": self.landscape_n_grid,
-            "wasserstein_q": self.wasserstein_q,
-        }
+        doc = {key: getattr(self, name) for key, (name, _) in _CONFIG_FIELDS.items()}
+        doc["windows"] = {name: [lo, hi] for name, lo, hi in self.windows}
+        doc["bands"] = {b.name: [b.low_hz, b.high_hz] for b in self.bands}
+        return doc
 
 
 @dataclass
@@ -238,11 +256,10 @@ def _check_artifact_names(window_names: list[str], band_names: list[str]) -> Non
 
 def _cell(
     model, labels: tuple[str, ...], band: FrequencyBand, cfg: PipelineConfig
-) -> dict[str, Any]:
+) -> tuple[DirectedNetwork, PersistenceDiagram]:
     """Network and diagram for one (window, band) cell."""
     net = pdc_band(model, band, cfg.sampling_rate_hz, cfg.n_grid, labels)
-    diagram = persistence(rips_filtration(asym_distance(decompose(net)), cfg.max_dim))
-    return {"network": net, "diagram": diagram}
+    return net, persistence(rips_filtration(asym_distance(decompose(net)), cfg.max_dim))
 
 
 def diagram_distances(
@@ -314,8 +331,17 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         raise ValueError("band names must be distinct")
     _check_artifact_names(window_names, band_names)
     os.makedirs(config.out_dir, exist_ok=True)
+    dims = range(config.max_dim + 1)
 
-    # fit one model per window; a window failure poisons only its own cells
+    def artifact(name: str) -> str:
+        """Path of a file in out_dir, listed in the report by its name alone."""
+        report.artifacts.append(name)
+        return os.path.join(config.out_dir, name)
+
+    def fail(window: str, band: str, error: str) -> None:
+        report.failures.append({"window": window, "band": band, "error": error})
+
+    # fit pass: one model per window; a window failure poisons only its cells
     models: dict[str, Any] = {}
     for name, lo, hi in windows:
         try:
@@ -326,110 +352,60 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 order = select_order(win, config.select_k_max, OrderCriterion(config.criterion))
             else:
                 order = config.order
-            models[name] = (fit_var(win, order), win.channel_labels)
-        except (ValueError, FileNotFoundError) as exc:
+            models[name] = fit_var(win, order)
+        except ValueError as exc:
             for band in config.bands:
-                report.failures.append(
-                    {"window": name, "band": band.name, "error": str(exc)}
-                )
-
-    results: dict[tuple[str, str], dict[str, Any]] = {}
-    for w_name, _, _ in windows:
-        if w_name not in models:
+                fail(name, band.name, str(exc))
             continue
-        model, labels = models[w_name]
+        write_json(var_model_to_dict(models[name]), artifact(f"model_{_slug(name)}.json"))
+
+    # cell pass, window by window: only the diagrams outlive it
+    diagrams: dict[str, dict[str, PersistenceDiagram]] = {b.name: {} for b in config.bands}
+    for name, model in models.items():
         for band in config.bands:
             try:
-                results[(w_name, band.name)] = _cell(model, labels, band, config)
+                net, diagram = _cell(model, series.channel_labels, band, config)
             except ValueError as exc:
-                report.failures.append(
-                    {"window": w_name, "band": band.name, "error": str(exc)}
-                )
-
-    def artifact(name: str) -> str:
-        """Path of a file in out_dir, listed in the report by its name alone."""
-        report.artifacts.append(name)
-        return os.path.join(config.out_dir, name)
-
-    # deterministic artifact writing: iterate windows and bands in config order
-    for w_name, _, _ in windows:
-        if w_name not in models:
-            continue
-        model, _ = models[w_name]
-        write_json(var_model_to_dict(model), artifact(f"model_{_slug(w_name)}.json"))
-
-    for band in config.bands:
-        # shared truncation across windows keeps landscapes comparable
-        band_diagrams = [
-            results[(w, band.name)]["diagram"]
-            for w, _, _ in windows
-            if (w, band.name) in results
-        ]
-        t_max = shared_t_max(*band_diagrams)
-        for w_name, _, _ in windows:
-            key = (w_name, band.name)
-            if key not in results:
+                fail(name, band.name, str(exc))
                 continue
-            cell = results[key]
-            stem = f"{_slug(w_name)}_{_slug(band.name)}"
-            cell_doc: dict[str, Any] = {"t_max": t_max, "total_persistence": {}}
+            stem = f"{_slug(name)}_{_slug(band.name)}"
+            write_json(network_to_dict(net), artifact(f"network_{stem}.json"))
+            write_json(diagram_to_dict(diagram), artifact(f"diagram_{stem}.json"))
+            plot_diagram(diagram, artifact(f"diagram_{stem}.svg"), f"{name} / {band.name}")
+            diagrams[band.name][name] = diagram
 
-            write_json(network_to_dict(cell["network"]), artifact(f"network_{stem}.json"))
-            write_json(diagram_to_dict(cell["diagram"]), artifact(f"diagram_{stem}.json"))
-            plot_diagram(
-                cell["diagram"], artifact(f"diagram_{stem}.svg"), f"{w_name} / {band.name}"
-            )
+    # band pass: landscapes on the band's shared grid, then window distances
+    for band in config.bands:
+        cells = diagrams[band.name]
+        # shared truncation across windows keeps landscapes comparable
+        t_max = shared_t_max(*cells.values())
+        landscapes: dict[str, list[PersistenceLandscape]] = {}
+        for name, diagram in cells.items():
+            stem = f"{_slug(name)}_{_slug(band.name)}"
+            landscapes[name] = [
+                landscape(diagram, dim, config.landscape_k_max, config.landscape_n_grid, t_max)
+                for dim in dims
+            ]
+            for dim, ls in enumerate(landscapes[name]):
+                title = f"{name} / {band.name} dim {dim}"
+                plot_landscape(ls, artifact(f"landscape_{stem}_dim{dim}.svg"), title)
+            report.cells.setdefault(name, {})[band.name] = {
+                "t_max": t_max,
+                "total_persistence": {str(dim): total_persistence(diagram, dim) for dim in dims},
+            }
 
-            landscapes = {}
-            for dim in range(config.max_dim + 1):
-                ls = landscape(
-                    cell["diagram"],
-                    dim,
-                    config.landscape_k_max,
-                    config.landscape_n_grid,
-                    t_max,
-                )
-                landscapes[dim] = ls
-                plot_landscape(
-                    ls,
-                    artifact(f"landscape_{stem}_dim{dim}.svg"),
-                    f"{w_name} / {band.name} dim {dim}",
-                )
-                cell_doc["total_persistence"][str(dim)] = total_persistence(
-                    cell["diagram"], dim
-                )
-            cell["landscapes"] = landscapes
-            report.cells.setdefault(w_name, {})[band.name] = cell_doc
-
-        # cross-window distances within this band
-        present = [w for w, _, _ in windows if (w, band.name) in results]
         band_dist: dict[str, Any] = {}
-        for i in range(len(present)):
-            for j in range(i + 1, len(present)):
-                wa, wb = present[i], present[j]
-                cell_a, cell_b = results[(wa, band.name)], results[(wb, band.name)]
-                try:
-                    by_dim = {
-                        str(dim): diagram_distances(
-                            cell_a["diagram"],
-                            cell_b["diagram"],
-                            cell_a["landscapes"][dim],
-                            cell_b["landscapes"][dim],
-                            dim,
-                            config.wasserstein_q,
-                        )
-                        for dim in range(config.max_dim + 1)
-                    }
-                except Exception as exc:  # one pair's failure must not end the run
-                    report.failures.append(
-                        {
-                            "window": f"{wa}|{wb}",
-                            "band": band.name,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
+        for wa, wb in itertools.combinations(cells, 2):
+            ls_a, ls_b = landscapes[wa], landscapes[wb]
+            try:
+                band_dist[f"{wa}|{wb}"] = {
+                    str(dim): diagram_distances(
+                        cells[wa], cells[wb], ls_a[dim], ls_b[dim], dim, config.wasserstein_q
                     )
-                    continue
-                band_dist[f"{wa}|{wb}"] = by_dim
+                    for dim in dims
+                }
+            except Exception as exc:  # one pair's failure must not end the run
+                fail(f"{wa}|{wb}", band.name, f"{type(exc).__name__}: {exc}")
         if band_dist:
             report.distances[band.name] = band_dist
 

@@ -198,11 +198,23 @@ class TestMalformedConfig:
             ("fs_hz", True),
             ("input", None),
             ("criterion", "xyz"),
+            ("order", 0),
+            ("n_grid", 0),
+            ("landscape_k_max", 0),
+            ("select_k_max", 0),
+            ("landscape_n_grid", 1),
+            ("max_dim", 0),
+            ("max_dim", 3),
+            ("wasserstein_q", 0.5),
+            ("wasserstein_q", float("inf")),
+            ("wasserstein_q", float("nan")),
         ],
         ids=["windows-list", "span-one-number", "span-three-numbers", "band-number",
              "fs_hz-null", "order-text", "standardize-text", "order-float",
              "n_grid-float", "max_dim-float", "select_k_max-float", "fs_hz-bool",
-             "input-null", "criterion-unknown"],
+             "input-null", "criterion-unknown", "order-0", "n_grid-0",
+             "landscape_k_max-0", "select_k_max-0", "landscape_n_grid-1", "max_dim-0",
+             "max_dim-3", "wasserstein_q-half", "wasserstein_q-inf", "wasserstein_q-nan"],
     )
     def test_bad_value_names_its_key(self, workdir, config_path, capsys, key, value):
         doc = dict(json.loads(config_path.read_text()), **{key: value})
@@ -210,6 +222,8 @@ class TestMalformedConfig:
         path.write_text(json.dumps(doc))
         assert run("run", "--config", path, "--out-dir", workdir / "run_bad") == 1
         assert f"config key {key!r}" in capsys.readouterr().err
+        # rejected before any write: no half-written out_dir
+        assert not (workdir / "run_bad").exists()
 
 
 class TestCompareMatchesRun:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -29,6 +30,7 @@ from dirtda import (
 from dirtda.cli import main
 from dirtda.jsonio import read_json
 from dirtda.pdc import network_from_dict
+from dirtda.pipeline import CONFIG_KEYS
 from dirtda.summaries import landscape_from_dict
 
 
@@ -53,11 +55,39 @@ def config(series_csv, out_dir, **kw):
     return PipelineConfig(**base)
 
 
+# every field away from its default, so a key that to_dict drops or
+# misnames cannot round-trip by falling back to the default
+EVERY_FIELD = dict(
+    input_path="in.csv",
+    sampling_rate_hz=250.0,
+    out_dir="o",
+    windows=(("a", 0.0, 1.5), ("b", 1.5, 3.0)),
+    bands=(FrequencyBand("x", 1.0, 2.0),),
+    order=2,
+    select_k_max=7,
+    criterion="aic",
+    n_grid=9,
+    max_dim=1,
+    standardize=False,
+    landscape_k_max=3,
+    landscape_n_grid=40,
+    wasserstein_q=2.5,
+)
+
+
 class TestPipelineConfig:
     def test_dict_round_trip(self, series_csv):
         cfg = config(series_csv, "out")
         back = PipelineConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    def test_every_key_round_trips(self):
+        default = PipelineConfig("", 1.0, "")
+        assert set(EVERY_FIELD) == {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert all(getattr(default, k) != v for k, v in EVERY_FIELD.items())
+        cfg = PipelineConfig(**EVERY_FIELD)
+        assert set(cfg.to_dict()) == CONFIG_KEYS
+        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_defaults_from_minimal_doc(self):
         cfg = PipelineConfig.from_dict(
@@ -203,6 +233,45 @@ class TestRunPipeline:
         assert set(report.distances["peak"]) == {"w1|w2", "w2|w3"}
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["failures"] == report.failures
+
+    def test_mixed_failures_in_pass_order(self, series_csv, tmp_path, monkeypatch):
+        # window failures, then cell failures window by window, then
+        # distance failures band by band
+        import dirtda.pipeline
+
+        real = dirtda.pipeline.bottleneck
+        calls = []
+
+        def flaky(a, b, dim):
+            # per band, one call per dim (0..2) and window pair; band "a"
+            # runs first, so the 4th call opens a's w1|w3
+            calls.append(dim)
+            if len(calls) == 4:
+                raise AssertionError("no feasible radius")
+            return real(a, b, dim)
+
+        monkeypatch.setattr(dirtda.pipeline, "bottleneck", flaky)
+        windows = (("w1", 0.0, 500.0), ("late", 1500.0, 2000.0),
+                   ("w2", 500.0, 1000.0), ("w3", 1000.0, 1600.0))
+        bands = (FrequencyBand("a", 0.18, 0.28), FrequencyBand("over", 0.4, 0.6),
+                 FrequencyBand("b", 0.02, 0.12))
+        out = tmp_path / "out"
+        report = run_pipeline(config(series_csv, str(out), windows=windows, bands=bands))
+        late = "window end 2000.0s exceeds recording length 1600.0s"
+        nyquist = "band 'over' ends at 0.6 Hz, beyond Nyquist 0.5 Hz"
+        assert report.failures == [
+            {"window": "late", "band": "a", "error": late},
+            {"window": "late", "band": "over", "error": late},
+            {"window": "late", "band": "b", "error": late},
+            {"window": "w1", "band": "over", "error": nyquist},
+            {"window": "w2", "band": "over", "error": nyquist},
+            {"window": "w3", "band": "over", "error": nyquist},
+            {"window": "w1|w3", "band": "a", "error": "AssertionError: no feasible radius"},
+        ]
+        assert set(report.distances) == {"a", "b"}
+        assert set(report.distances["a"]) == {"w1|w2", "w2|w3"}
+        assert set(report.distances["b"]) == {"w1|w2", "w1|w3", "w2|w3"}
+        assert read_json(out / "report.json")["failures"] == report.failures
 
 
 class TestArtifactContract:
