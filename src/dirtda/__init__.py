@@ -12,11 +12,9 @@ from .decomp import (
     NetworkDecomposition,
     asym_distance,
     decompose,
-    projection_residual,
 )
 from .homology import (
     PersistenceDiagram,
-    betti_at,
     load_diagram,
     persistence,
     rips_filtration,
@@ -35,10 +33,7 @@ from .pdc import (
     DEFAULT_BANDS,
     DirectedNetwork,
     FrequencyBand,
-    SpectralTransform,
-    pdc_at,
     pdc_band,
-    spectral_transform,
 )
 from .pipeline import AnalysisReport, PipelineConfig, run_pipeline
 from .plots import plot_diagram, plot_landscape
@@ -56,7 +51,6 @@ from .summaries import (
     bottleneck,
     landscape,
     landscape_distance,
-    landscape_mean,
     shared_t_max,
     wasserstein,
 )
@@ -67,7 +61,6 @@ from .var import (
     fit_var,
     is_stable,
     select_order,
-    simulate_var,
 )
 
 __version__ = "0.1.0"
@@ -85,30 +78,23 @@ __all__ = [
     "select_order",
     "companion_matrix",
     "is_stable",
-    "simulate_var",
     "FrequencyBand",
     "DEFAULT_BANDS",
-    "SpectralTransform",
     "DirectedNetwork",
-    "spectral_transform",
-    "pdc_at",
     "pdc_band",
     "NetworkDecomposition",
     "DistanceMatrix",
     "decompose",
     "asym_distance",
-    "projection_residual",
     "PersistenceDiagram",
     "rips_filtration",
     "persistence",
-    "betti_at",
     "total_persistence",
     "save_diagram",
     "load_diagram",
     "PersistenceLandscape",
     "shared_t_max",
     "landscape",
-    "landscape_mean",
     "landscape_distance",
     "bottleneck",
     "wasserstein",

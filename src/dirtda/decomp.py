@@ -21,7 +21,6 @@ __all__ = [
     "DistanceMatrix",
     "decompose",
     "asym_distance",
-    "projection_residual",
     "decomposition_to_dict",
     "decomposition_from_dict",
 ]
@@ -91,21 +90,6 @@ def asym_distance(dec: NetworkDecomposition) -> DistanceMatrix:
     d = np.abs(dec.w_a)
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(d, dec.source.labels)
-
-
-def projection_residual(dec: NetworkDecomposition, candidate: np.ndarray) -> float:
-    """Frobenius distance from the source W to a candidate symmetric matrix.
-
-    By optimality of w_s this is always >= ||W - w_s||_F. The candidate must
-    be symmetric within 1e-10.
-    """
-    cand = np.asarray(candidate, dtype=float)
-    w = dec.source.weights
-    if cand.shape != w.shape:
-        raise ValueError(f"candidate shape {cand.shape} does not match {w.shape}")
-    if np.max(np.abs(cand - cand.T)) > 1e-10:
-        raise ValueError("candidate is not symmetric within 1e-10")
-    return float(np.linalg.norm(w - cand, ord="fro"))
 
 
 def decomposition_to_dict(dec: NetworkDecomposition) -> dict[str, Any]:

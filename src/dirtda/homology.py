@@ -48,7 +48,6 @@ __all__ = [
     "PersistenceDiagram",
     "rips_filtration",
     "persistence",
-    "betti_at",
     "total_persistence",
     "diagram_to_dict",
     "diagram_from_dict",
@@ -232,13 +231,6 @@ def persistence(filtration: Filtration) -> PersistenceDiagram:
         cleared[deaths] = True
     out.sort(key=lambda p: (p[0], p[1], p[2]))
     return PersistenceDiagram(tuple(out))
-
-
-def betti_at(diagram: PersistenceDiagram, epsilon: float, dim: int) -> int:
-    """Number of dim-classes alive at scale epsilon (born <= epsilon < death)."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    return sum(1 for k, b, d in diagram.pairs if k == dim and b <= epsilon < d)
 
 
 def total_persistence(diagram: PersistenceDiagram, dim: int) -> float:

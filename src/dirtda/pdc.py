@@ -18,10 +18,7 @@ from .var import VarModel
 
 __all__ = [
     "FrequencyBand",
-    "SpectralTransform",
     "DirectedNetwork",
-    "spectral_transform",
-    "pdc_at",
     "pdc_band",
     "network_to_dict",
     "network_from_dict",
@@ -53,21 +50,6 @@ DEFAULT_BANDS: tuple[FrequencyBand, ...] = (
     FrequencyBand("beta", 12.0, 30.0),
     FrequencyBand("gamma", 30.0, 50.0),
 )
-
-
-@dataclass(frozen=True)
-class SpectralTransform:
-    """Abar(omega) for a single normalized frequency."""
-
-    omega: float
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {mat.shape}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -105,12 +87,10 @@ class DirectedNetwork:
 def _transforms(model: VarModel, omegas: list[float]) -> np.ndarray:
     """Abar at every omega of the grid, shape (len(omegas), d, d).
 
-    Each phase exp(-i 2 pi k omega) is a scalar per frequency, so every
-    matrix equals the one a single-frequency evaluation gives, bit for bit.
+    pdc_band's band and Nyquist checks keep every omega in [0, 0.5]. Each
+    phase exp(-i 2 pi k omega) is a scalar per frequency, so every matrix
+    equals the one a single-frequency evaluation gives, bit for bit.
     """
-    for omega in omegas:
-        if not 0.0 <= omega <= 0.5:
-            raise ValueError(f"omega must be in [0, 0.5] cycles/sample, got {omega}")
     d = model.n_channels
     mats = np.empty((len(omegas), d, d), dtype=complex)
     mats[:] = np.eye(d)
@@ -132,24 +112,6 @@ def _pdc(model: VarModel, omegas: list[float]) -> np.ndarray:
             f"{column + 1} is zero"
         )
     return mags / norms
-
-
-def spectral_transform(model: VarModel, omega: float) -> SpectralTransform:
-    """Abar(omega) = I - sum_k Phi_k exp(-i 2 pi k omega).
-
-    omega is in cycles per sample and must lie in [0, 0.5].
-    """
-    return SpectralTransform(float(omega), _transforms(model, [omega])[0])
-
-
-def pdc_at(model: VarModel, omega: float) -> np.ndarray:
-    """PDC matrix at one normalized frequency.
-
-    Magnitude convention (not squared): entry (p, q) is
-    |Abar[p,q]| / sqrt(Abar[:,q]^H Abar[:,q]). Columns therefore satisfy
-    sum_p PDC[p,q]^2 = 1.
-    """
-    return _pdc(model, [omega])[0]
 
 
 def pdc_band(

@@ -111,24 +111,6 @@ def _boolean(value: Any) -> bool:
     return value
 
 
-def _checked(
-    parse: Callable[[Any], Any], ok: Callable[[Any], bool], bound: str
-) -> Callable[[Any], Any]:
-    """parse, then reject a value outside its bound: a config that would fail
-    every cell, or stop a run after its first writes, fails before any write."""
-
-    def check(value: Any) -> Any:
-        parsed = parse(value)
-        if not ok(parsed):
-            raise ValueError(f"must be {bound}, got {value!r}")
-        return parsed
-
-    return check
-
-
-_positive = _checked(_integer, lambda v: v >= 1, ">= 1")
-
-
 # every key of the flat JSON config -> (PipelineConfig field, parser of its
 # value); anything else is rejected as a typo, and an absent key leaves the
 # field's default
@@ -138,21 +120,31 @@ _CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
     "out_dir": ("out_dir", _path),
     "windows": ("windows", _named_spans),
     "bands": ("bands", lambda v: tuple(FrequencyBand(*span) for span in _named_spans(v))),
-    "order": ("order", _positive),
-    "select_k_max": ("select_k_max", lambda v: None if v is None else _positive(v)),
+    "order": ("order", _integer),
+    "select_k_max": ("select_k_max", lambda v: None if v is None else _integer(v)),
     "criterion": ("criterion", _criterion),
-    "n_grid": ("n_grid", _positive),
-    "max_dim": ("max_dim", _checked(_integer, lambda v: v in (1, 2), "1 or 2")),
+    "n_grid": ("n_grid", _integer),
+    "max_dim": ("max_dim", _integer),
     "standardize": ("standardize", _boolean),
-    "landscape_k_max": ("landscape_k_max", _positive),
-    "landscape_n_grid": ("landscape_n_grid", _checked(_integer, lambda v: v >= 2, ">= 2")),
-    "wasserstein_q": (
-        "wasserstein_q",
-        _checked(_number, lambda v: math.isfinite(v) and v >= 1, "finite and >= 1"),
-    ),
+    "landscape_k_max": ("landscape_k_max", _integer),
+    "landscape_n_grid": ("landscape_n_grid", _integer),
+    "wasserstein_q": ("wasserstein_q", _number),
 }
 CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
 _REQUIRED_KEYS = ("input", "fs_hz", "out_dir")
+
+# range-checked field, named as its config key -> (bound, test): a config
+# that would fail every cell, or stop a run after its first writes, fails
+# when it is built, before any write
+_BOUNDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "order": (">= 1", lambda v: v >= 1),
+    "select_k_max": (">= 1", lambda v: v is None or v >= 1),
+    "n_grid": (">= 1", lambda v: v >= 1),
+    "max_dim": ("1 or 2", lambda v: v in (1, 2)),
+    "landscape_k_max": (">= 1", lambda v: v >= 1),
+    "landscape_n_grid": (">= 2", lambda v: v >= 2),
+    "wasserstein_q": ("finite and >= 1", lambda v: math.isfinite(v) and v >= 1),
+}
 
 
 @dataclass(frozen=True)
@@ -180,10 +172,17 @@ class PipelineConfig:
     landscape_n_grid: int = DEFAULT_N_GRID
     wasserstein_q: float = 1.0
 
+    def __post_init__(self) -> None:
+        for key, (bound, ok) in _BOUNDS.items():
+            value = getattr(self, key)
+            if not ok(value):
+                raise ValueError(f"config key {key!r}: must be {bound}, got {value!r}")
+
     @staticmethod
     def from_dict(doc: dict[str, Any]) -> "PipelineConfig":
         """Config from its flat JSON form; an unknown or missing required
-        key, or a value that does not parse, raises ValueError naming it."""
+        key, or a value that does not parse or is out of range, raises
+        ValueError naming it."""
         unknown = sorted(set(doc) - CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")

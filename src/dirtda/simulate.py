@@ -168,15 +168,13 @@ def realize(system: LaggedSystem, t: int, seed: int, burn_in: int = 500) -> Mult
 
     a1 = np.array([c[0] for c in system.ar_coeffs])
     a2 = np.array([c[1] for c in system.ar_coeffs])
+    g = system.gain_matrix()
     z = np.zeros((total, n))
+    y = np.zeros((total, n))
     for step in range(total):
         zm1 = z[step - 1] if step >= 1 else 0.0
         zm2 = z[step - 2] if step >= 2 else 0.0
         z[step] = a1 * zm1 + a2 * zm2 + eps[step]
-
-    g = system.gain_matrix()
-    y = np.zeros((total, n))
-    for step in range(total):
         prev = y[step - 1] if step >= 1 else np.zeros(n)
         y[step] = g @ prev + z[step]
     labels = tuple(f"node{i + 1}" for i in range(n))

@@ -25,7 +25,6 @@ from .homology import PersistenceDiagram
 __all__ = [
     "PersistenceLandscape",
     "landscape",
-    "landscape_mean",
     "landscape_distance",
     "bottleneck",
     "wasserstein",
@@ -117,22 +116,6 @@ def landscape(
         take = min(k_max, tents.shape[0])
         levels[:take] = tents[:take]
     return PersistenceLandscape(dim, grid, levels)
-
-
-def landscape_mean(landscapes: list[PersistenceLandscape]) -> PersistenceLandscape:
-    """Pointwise mean of landscapes sharing dimension, grid, and k_max."""
-    if not landscapes:
-        raise ValueError("landscape_mean needs at least one landscape")
-    first = landscapes[0]
-    for other in landscapes[1:]:
-        if other.dim != first.dim:
-            raise ValueError("landscapes mix homology dimensions")
-        if other.levels.shape != first.levels.shape or not np.array_equal(
-            other.grid, first.grid
-        ):
-            raise ValueError("landscapes must share the same grid")
-    stacked = np.mean([ls.levels for ls in landscapes], axis=0)
-    return PersistenceLandscape(first.dim, first.grid, stacked)
 
 
 def landscape_distance(

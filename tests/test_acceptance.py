@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from naive_homology import naive_persistence
+from var_simulation import simulate_var
 
 from dirtda import (
     DirectedNetwork,
@@ -34,7 +35,6 @@ from dirtda import (
     fit_var,
     is_stable,
     landscape,
-    pdc_at,
     pdc_band,
     persistence,
     realize,
@@ -43,13 +43,13 @@ from dirtda import (
     save_series,
     select_order,
     shared_t_max,
-    simulate_var,
     standardize,
     system_one,
     system_two,
     total_persistence,
     wasserstein,
 )
+from dirtda.pdc import _pdc
 
 # diagrams accumulated by criteria 3-6, audited by criterion 7
 DIAGRAMS: list[PersistenceDiagram] = []
@@ -116,8 +116,7 @@ def test_criterion_1_pdc_normalization():
         d = (2, 5, 19)[i % 3]
         k = (1, 5)[i % 2]
         model = random_stable_var(rng, d, k)
-        for omega in omegas:
-            p = pdc_at(model, float(omega))
+        for p in _pdc(model, omegas.tolist()):
             col_sq = np.sum(p * p, axis=0)
             assert np.max(np.abs(col_sq - 1.0)) <= 1e-10
 

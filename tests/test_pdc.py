@@ -12,11 +12,9 @@ from dirtda import (
     FrequencyBand,
     VarModel,
     is_stable,
-    pdc_at,
     pdc_band,
-    spectral_transform,
 )
-from dirtda.pdc import network_from_dict, network_to_dict
+from dirtda.pdc import _pdc, _transforms, network_from_dict, network_to_dict
 
 
 def random_stable_var(rng, d, k):
@@ -29,29 +27,42 @@ def random_stable_var(rng, d, k):
     return model
 
 
+def transform_at(model, omega):
+    """Abar at one normalized frequency, as pdc_band computes it."""
+    return _transforms(model, [omega])[0]
+
+
+def pdc_at(model, omega):
+    """PDC at one normalized frequency, as pdc_band computes it."""
+    return _pdc(model, [omega])[0]
+
+
 class TestSpectralTransform:
     def test_zero_phi_gives_identity(self):
         m = VarModel(np.zeros((1, 3, 3)), np.eye(3))
         for omega in (0.0, 0.17, 0.5):
-            assert np.array_equal(spectral_transform(m, omega).matrix, np.eye(3))
+            assert np.array_equal(transform_at(m, omega), np.eye(3))
 
     def test_omega_zero_k1(self):
         phi = np.array([[[0.3, 0.1], [0.0, 0.2]]])
         m = VarModel(phi, np.eye(2))
-        out = spectral_transform(m, 0.0).matrix
+        out = transform_at(m, 0.0)
         assert np.allclose(out, np.eye(2) - phi[0], atol=1e-15)
 
     def test_scalar_quarter_frequency(self):
         # 1 - 0.5 exp(-i pi/2) = 1 + 0.5i
         m = VarModel(np.array([[[0.5]]]), np.eye(1))
-        out = spectral_transform(m, 0.25).matrix
+        out = transform_at(m, 0.25)
         assert abs(out[0, 0] - (1.0 + 0.5j)) < 1e-15
 
     @pytest.mark.parametrize("omega", [-0.01, 0.51, 1.0])
     def test_omega_domain(self, omega):
+        # pdc_band never evaluates outside [0, 0.5]: a band edge there is
+        # refused as negative or as past Nyquist
         m = VarModel(np.zeros((1, 2, 2)), np.eye(2))
         with pytest.raises(ValueError):
-            spectral_transform(m, omega)
+            band = FrequencyBand("b", min(omega, 0.25), max(omega, 0.25))
+            pdc_band(m, band, fs_hz=1.0)
 
 
 class TestPdcAt:

@@ -89,6 +89,26 @@ class TestPipelineConfig:
         assert set(cfg.to_dict()) == CONFIG_KEYS
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("order", 0),
+            ("n_grid", 0),
+            ("landscape_k_max", 0),
+            ("select_k_max", 0),
+            ("landscape_n_grid", 1),
+            ("max_dim", 0),
+            ("max_dim", 3),
+            ("wasserstein_q", 0.5),
+            ("wasserstein_q", float("inf")),
+            ("wasserstein_q", float("nan")),
+        ],
+    )
+    def test_out_of_range_field_rejected_when_built(self, series_csv, key, value):
+        # a config built directly, not read from JSON, is checked as strictly
+        with pytest.raises(ValueError, match=f"config key '{key}': must be "):
+            config(series_csv, "out", **{key: value})
+
     def test_defaults_from_minimal_doc(self):
         cfg = PipelineConfig.from_dict(
             {"input": "x.csv", "fs_hz": 100.0, "out_dir": "o"}

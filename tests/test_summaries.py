@@ -11,7 +11,6 @@ from dirtda import (
     bottleneck,
     landscape,
     landscape_distance,
-    landscape_mean,
     shared_t_max,
     wasserstein,
 )
@@ -196,32 +195,6 @@ class TestSharedTMax:
     def test_zero_deaths_do_not_mask_a_positive_one(self):
         zero = diagram([(0, 0.0, 0.0)])
         assert shared_t_max(zero, SINGLE) == pytest.approx(1.05 * 3.0)
-
-
-class TestLandscapeMean:
-    def test_identity(self):
-        ls = landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0)
-        mean = landscape_mean([ls])
-        assert np.array_equal(mean.levels, ls.levels)
-
-    def test_with_zero_landscape(self):
-        ls = landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0)
-        zero = landscape(EMPTY, dim=1, k_max=2, n_grid=64, t_max=4.0)
-        mean = landscape_mean([ls, zero])
-        assert np.allclose(mean.levels, ls.levels / 2.0, atol=1e-15)
-
-    def test_preserves_ordering(self):
-        a = landscape(DOUBLE, dim=1, k_max=3, n_grid=64, t_max=4.0)
-        b = landscape(diagram([(1, 0.5, 2.5)]), dim=1, k_max=3, n_grid=64, t_max=4.0)
-        mean = landscape_mean([a, b])
-        assert np.all(mean.levels[0] >= mean.levels[1])
-        assert np.all(mean.levels[1] >= mean.levels[2])
-
-    def test_mismatched_grids_rejected(self):
-        a = landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0)
-        b = landscape(SINGLE, dim=1, k_max=2, n_grid=32, t_max=4.0)
-        with pytest.raises(ValueError):
-            landscape_mean([a, b])
 
 
 class TestLandscapeDistance:

@@ -13,9 +13,9 @@ from dirtda import (
     fit_var,
     is_stable,
     select_order,
-    simulate_var,
 )
 from dirtda.var import var_model_from_dict, var_model_to_dict
+from var_simulation import simulate_var
 
 # fixed stable VAR(2), d=5: weak cross-coupling on top of decaying diagonals
 RNG = np.random.default_rng(1234)
