@@ -31,6 +31,11 @@ __all__ = [
 # is treated as numerically singular (e.g. duplicated channels)
 _MAX_CONDITION = 1e12
 
+# order selection scores from the Cholesky factor of [design | response]'s
+# Gram matrix only when that factor's condition number is at most this:
+# forming the Gram matrix squares it, and cond**2 * eps then stays below 1e-10
+_GRAM_MAX_CONDITION = 1e3
+
 _STABILITY_MARGIN = 1e-8
 
 
@@ -151,6 +156,18 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
     return VarModel(coeffs, sigma)
 
 
+def _gram_factor(m: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor of m.T @ m, or None when Cholesky fails or the
+    factor's condition number exceeds _GRAM_MAX_CONDITION."""
+    try:
+        r = np.linalg.cholesky(m.T @ m, upper=True)
+    except np.linalg.LinAlgError:
+        return None
+    sv = np.linalg.svd(r, compute_uv=False)
+    # false for a zero or NaN smallest singular value as well
+    return r if sv[0] <= _GRAM_MAX_CONDITION * sv[-1] else None
+
+
 def select_order(
     series: MultivariateSeries, k_max: int, criterion: OrderCriterion = OrderCriterion.BIC
 ) -> int:
@@ -158,26 +175,41 @@ def select_order(
 
     All candidate orders are scored on the common effective sample, the rows
     from k_max + 1 on, so the criteria are comparable. Ties go to the
-    smaller order.
+    smaller order. Requires T - k_max >= 1 + k_max*d + d, so that the
+    largest order leaves at least d residual degrees of freedom.
+
+    Every order is scored from one upper-triangular factor R of
+    M = [design(k_max) | response] (nested least squares, Lütkepohl §4.3):
+    order k's design is the first p = 1 + k*d columns of M, so
+    r[p:, p_max:]^T r[p:, p_max:] is its residual cross-product. R is the
+    Cholesky factor of M^T M when that factor's condition number is at
+    most _GRAM_MAX_CONDITION; a column subset is never worse conditioned,
+    so that one check covers every order. Otherwise R comes from a QR of M
+    and each order's condition is checked on its own, so a singular design
+    raises naming the condition estimate of the first order that fails.
     """
     x = series.samples
     t, d = x.shape
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if not t > d * k_max + k_max:
+    need = 1 + k_max * d + d
+    if t - k_max < need:
         raise ValueError(
-            f"need T > d*k_max + k_max observations to compare orders up to {k_max}, got T={t}"
+            f"need T - k_max >= 1 + k_max*d + d = {need} to compare orders "
+            f"up to {k_max} on {d} channels, got T={t}"
         )
     t_eff = t - k_max
-    # One QR of [design(k_max) | response] scores every order (nested least
-    # squares): order k's design is the first p columns, so r[:p, :p] is its
-    # R factor and r[p:, p_max:]^T r[p:, p_max:] its residual cross-product.
-    r = np.linalg.qr(_lag_design(x, k_max, k_max, response=True), mode="r")
+    m = _lag_design(x, k_max, k_max, response=True)
+    r = _gram_factor(m)
+    check_each_order = r is None
+    if check_each_order:
+        r = np.linalg.qr(m, mode="r")
     p_max = 1 + k_max * d
     best_k, best_score = 0, np.inf
     for k in range(1, k_max + 1):
         p = 1 + k * d
-        _check_condition(np.linalg.svd(r[:p, :p], compute_uv=False))
+        if check_each_order:
+            _check_condition(np.linalg.svd(r[:p, :p], compute_uv=False))
         tail = r[p:, p_max:]
         sigma = tail.T @ tail / t_eff
         sign, logdet = np.linalg.slogdet(sigma)

@@ -8,6 +8,7 @@ import pytest
 
 from dirtda import (
     FrequencyBand,
+    MultivariateSeries,
     PipelineConfig,
     asym_distance,
     decompose,
@@ -291,6 +292,28 @@ class TestRunPipeline:
         assert set(report.distances) == {"a", "b"}
         assert set(report.distances["a"]) == {"w1|w2", "w2|w3"}
         assert set(report.distances["b"]) == {"w1|w2", "w1|w3", "w2|w3"}
+        assert read_json(out / "report.json")["failures"] == report.failures
+
+    def test_rank_deficient_window_fails_only_its_cells(self, tmp_path):
+        # channel 4 copies channel 2 inside w2 only, so w2's lag design is
+        # singular: order selection takes the QR path and names the condition
+        s = realize(system_two(), 1600, seed=3)
+        x = s.samples.copy()
+        x[500:1000, 3] = x[500:1000, 1]
+        path = str(tmp_path / "series.csv")
+        save_series(MultivariateSeries(x, s.sampling_rate_hz, s.channel_labels), path)
+        windows = (("w1", 0.0, 500.0), ("w2", 500.0, 1000.0), ("w3", 1000.0, 1600.0))
+        bands = (FrequencyBand("a", 0.18, 0.28), FrequencyBand("b", 0.02, 0.12))
+        out = tmp_path / "out"
+        report = run_pipeline(
+            config(path, str(out), windows=windows, bands=bands, select_k_max=6)
+        )
+        assert [(f["window"], f["band"]) for f in report.failures] == [("w2", "a"), ("w2", "b")]
+        assert all("singular lag regression (condition" in f["error"] for f in report.failures)
+        assert report.n_succeeded == 4
+        assert {band: set(pairs) for band, pairs in report.distances.items()} == {
+            "a": {"w1|w3"}, "b": {"w1|w3"}
+        }
         assert read_json(out / "report.json")["failures"] == report.failures
 
 

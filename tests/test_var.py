@@ -14,6 +14,7 @@ from dirtda import (
     is_stable,
     select_order,
 )
+import dirtda.var
 from dirtda.var import var_model_from_dict, var_model_to_dict
 from var_simulation import simulate_var
 
@@ -174,6 +175,47 @@ class TestSelectOrder:
             with pytest.raises(ValueError, match="condition"):
                 select(s, 3, OrderCriterion.BIC)
 
+    @pytest.mark.parametrize("t", [10, 11])
+    def test_too_few_rows_for_the_largest_order_rejected(self, t):
+        # d = 2, k_max = 3: the order-3 fit has 1 + 3*2 regressors, so
+        # T - 3 rows leave fewer than d = 2 residual degrees of freedom
+        s = MultivariateSeries(np.random.default_rng(t).normal(size=(t, 2)), 1.0, ("a", "b"))
+        with pytest.raises(ValueError, match=r"T - k_max >= 1 \+ k_max\*d \+ d = 9"):
+            select_order(s, 3)
+
+    def test_smallest_sample_selects(self):
+        s = MultivariateSeries(np.random.default_rng(12).normal(size=(12, 2)), 1.0, ("a", "b"))
+        assert select_order(s, 3) in (1, 2, 3)
+
+    def test_well_conditioned_window_needs_no_qr(self, monkeypatch):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("QR ran on a well-conditioned design")
+
+        monkeypatch.setattr(dirtda.var.np.linalg, "qr", no_qr)
+        s = simulate_var(TRUE_MODEL, 3000, seed=26)
+        for crit in OrderCriterion:
+            assert select_order(s, 6, crit) == reference_select_order.select_order(s, 6, crit)
+
+    @pytest.mark.parametrize(
+        "eps, qr_shapes",
+        # channel 3 = channel 1 + eps * noise; [design | response] has
+        # condition number ~280 at eps 1e-2 and ~2,800 at 1e-3
+        [(1e-2, []), (1e-3, [(597, 21)])],
+    )
+    def test_qr_runs_only_above_the_condition_threshold(self, monkeypatch, eps, qr_shapes):
+        real, calls = np.linalg.qr, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dirtda.var.np.linalg, "qr", spy)
+        x = simulate_var(TRUE_MODEL, 600, seed=27).samples.copy()
+        x[:, 3] = x[:, 1] + eps * np.random.default_rng(27).normal(size=600)
+        s = MultivariateSeries(x, 1.0, default_labels(5))
+        assert select_order(s, 3) == reference_select_order.select_order(s, 3)
+        assert calls == qr_shapes
+
 
 def _stable_var(seed: int, d: int, k: int, radius: float) -> VarModel:
     """Random VAR(k) rescaled so its companion spectral radius is radius."""
@@ -199,6 +241,53 @@ def test_select_order_matches_per_order_lstsq(seed, d, k_true, k_max, radius, cr
     assert select_order(s, k_max, criterion) == reference_select_order.select_order(
         s, k_max, criterion
     )
+
+
+def _outcome(select, s, k_max, criterion):
+    try:
+        return select(s, k_max, criterion)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _resolvable(x: np.ndarray, k_max: int) -> bool:
+    """True unless some order's residual covariance, as the per-order lstsq
+    oracle forms it, has a condition number above 1e10.
+
+    Past that, slogdet of resid.T @ resid carries rounding noise of about
+    cond * 2.2e-16 and scores no longer separate orders reliably.
+    """
+    try:
+        resids = [reference_select_order._ols(x, k, k_max)[1] for k in range(1, k_max + 1)]
+    except ValueError:
+        return True
+    return max(np.linalg.cond(r.T @ r) for r in resids) <= 1e10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=1.0, max_value=9.0),
+    st.sampled_from(list(OrderCriterion)),
+)
+def test_select_order_near_collinear_matches_per_order_lstsq(seed, d, k_max, neg_log_eps, criterion):
+    # x[:, j] = x[:, i] + eps * noise with eps in [1e-9, 1e-1]: the design's
+    # condition number sweeps across the Cholesky threshold (eps near 1e-2.5
+    # here) deep into the QR path
+    rng = np.random.default_rng(seed)
+    x = simulate_var(_stable_var(seed, d, 2, 0.8), 400, seed=seed).samples.copy()
+    i, j = rng.choice(d, size=2, replace=False)
+    x[:, j] = x[:, i] + 10.0**-neg_log_eps * rng.normal(size=x.shape[0])
+    s = MultivariateSeries(x, 1.0, default_labels(d))
+    got = _outcome(select_order, s, k_max, criterion)
+    if _resolvable(x, k_max):
+        assert got == _outcome(reference_select_order.select_order, s, k_max, criterion)
+    else:
+        # below eps ~ 1e-6 the residual covariance is singular to working
+        # precision and neither implementation's score means anything
+        assert got in range(1, k_max + 1) or got.startswith("ValueError: ")
 
 
 class TestSerialization:
