@@ -1,12 +1,14 @@
 """Persistence landscapes and distances between persistence diagrams.
 
 Landscapes sample the k largest tent functions of a diagram on a uniform
-grid. Bottleneck distance is exact: a Hopcroft-Karp perfect-matching check
-at the lower bound every row and column of the augmented graph imposes
-settles most pairs, and otherwise a binary search over the candidate radii
-above it runs up to the diagonal bound. Wasserstein distance is solved as
-an assignment problem on the diagonally augmented point sets with
-infinity-norm ground metric.
+grid. Bottleneck distance is exact: a perfect-matching check at the lower
+bound every row and column of the augmented graph imposes settles most
+pairs, and otherwise a binary search over the candidate radii above it runs
+up to the diagonal bound. Wasserstein distance is solved as an assignment
+problem on the diagonally augmented point sets with infinity-norm ground
+metric. Both distances use scipy's dense assignment solver, which is
+imported on the first distance computed, so importing this module does not
+load scipy.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .homology import PersistenceDiagram
 
@@ -168,10 +167,25 @@ def _edge_radii(
     return radii
 
 
+def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a minimum-cost assignment of a square cost matrix."""
+    # imported here so that importing dirtda does not pay for scipy
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
+
+
 def _matchable_within(radii: np.ndarray, radius: float) -> bool:
-    """Perfect-matching feasibility of the edges no longer than radius."""
-    graph = csr_matrix(radii <= radius)
-    return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
+    """Perfect-matching feasibility of the edges no longer than radius.
+
+    Every edge costs 1 when longer than radius and 0 otherwise. A square
+    matrix always has a full assignment, and the cheapest one uses as few
+    over-long edges as any perfect matching can, so its cost is 0 exactly
+    when the edges within radius hold a perfect matching.
+    """
+    over = radii > radius
+    rows, cols = _assign(over)
+    return not over[rows, cols].any()
 
 
 def _infinite_part_max(a_births: list[float], b_births: list[float]) -> float:
@@ -259,7 +273,7 @@ def wasserstein(
     for j in range(n):
         cost[m + j, j] = diag_b[j]
     # lower-right block: diagonal to diagonal is free
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assign(cost)
     total = float(cost[rows, cols].sum()) + float(inf_cost)
     return float(total ** (1.0 / q))
 

@@ -184,9 +184,12 @@ def select_order(
     r[p:, p_max:]^T r[p:, p_max:] is its residual cross-product. R is the
     Cholesky factor of M^T M when that factor's condition number is at
     most _GRAM_MAX_CONDITION; a column subset is never worse conditioned,
-    so that one check covers every order. Otherwise R comes from a QR of M
-    and each order's condition is checked on its own, so a singular design
-    raises naming the condition estimate of the first order that fails.
+    so that one check covers every order, and each residual covariance's
+    condition number is then at most _GRAM_MAX_CONDITION**2. Otherwise R
+    comes from a QR of M and each order is checked on its own: a singular
+    design raises naming the condition estimate of the first order that
+    fails, and so does a residual covariance whose condition number exceeds
+    _MAX_CONDITION, whose log-determinant would be rounding noise.
     """
     x = series.samples
     t, d = x.shape
@@ -208,13 +211,19 @@ def select_order(
     best_k, best_score = 0, np.inf
     for k in range(1, k_max + 1):
         p = 1 + k * d
+        tail = r[p:, p_max:]
         if check_each_order:
             _check_condition(np.linalg.svd(r[:p, :p], compute_uv=False))
-        tail = r[p:, p_max:]
+            # tail^T tail squares tail's condition number
+            sv = np.linalg.svd(tail, compute_uv=False)
+            cond = (sv[0] / sv[-1]) ** 2 if sv[-1] > 0 else np.inf
+            if not cond <= _MAX_CONDITION:
+                raise ValueError(
+                    f"degenerate residual covariance at order {k} "
+                    f"(condition estimate {cond:.3e}); check for nearly collinear channels"
+                )
         sigma = tail.T @ tail / t_eff
-        sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0:
-            raise ValueError(f"degenerate residual covariance at order {k}")
+        _, logdet = np.linalg.slogdet(sigma)
         n_params = k * d * d
         if criterion == OrderCriterion.AIC:
             score = logdet + 2.0 * n_params / t_eff

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import dirtda
+import reference_matching
 from dirtda import (
     PersistenceDiagram,
     bottleneck,
@@ -282,6 +287,58 @@ class TestBottleneck:
     )
     def test_matches_assignment_oracle(self, a, b):
         assert bottleneck(a, b, 1) == oracle_bottleneck(a.in_dim(1), b.in_dim(1))
+
+
+@st.composite
+def radius_matrices(draw):
+    """A square radius matrix and a threshold: tie-heavy or continuous
+    entries, some inf, and a threshold that is often equal to an entry."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    value = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, math.inf]),
+        st.floats(0.0, 3.0, allow_nan=False),
+    )
+    radii = np.array(draw(st.lists(value, min_size=n * n, max_size=n * n)), dtype=float)
+    radii = radii.reshape(n, n)
+    finite = radii[np.isfinite(radii)].tolist()
+    if finite:
+        radius = draw(st.one_of(st.sampled_from(finite), st.floats(0.0, 3.0)))
+    else:
+        radius = draw(st.floats(0.0, 3.0))
+    return radii, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(radius_matrices())
+@example((np.zeros((0, 0)), 0.0))
+@example((np.full((3, 3), math.inf), 1.0))
+@example((np.array([[0.5, math.inf], [0.5, math.inf]]), 0.5))
+@example((np.array([[1.0, 0.5], [0.5, math.inf]]), 0.5))
+def test_matchable_within_agrees_with_hopcroft_karp(case):
+    radii, radius = case
+    assert summaries._matchable_within(radii, radius) == reference_matching.matchable_within(
+        radii, radius
+    )
+
+
+def test_scipy_loaded_only_by_first_distance():
+    # a module-level scipy import anywhere in dirtda puts ~0.5 s back into
+    # the start-up of every command, distance or not
+    script = (
+        "import sys\n"
+        "import dirtda, dirtda.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy on import'\n"
+        "a = dirtda.PersistenceDiagram(((1, 0.0, 2.0),))\n"
+        "dirtda.bottleneck(a, a, 1)\n"
+        "assert 'scipy.optimize' in sys.modules, 'scipy.optimize not loaded'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirtda.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestWasserstein:
