@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="first diagram JSON path")
     p.add_argument("--b", required=True, help="second diagram JSON path")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--q", type=float, default=1.0, help="Wasserstein exponent")
+    p.add_argument("--q", type=float, default=1.0, help="Wasserstein exponent, finite and >= 1")
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, dest="k_max")
     p.add_argument("--n-grid", type=int, default=DEFAULT_N_GRID, dest="n_grid")
     p.add_argument("--out", default=None, help="optional JSON output path")

@@ -51,6 +51,8 @@ __all__ = [
     "total_persistence",
     "diagram_to_dict",
     "diagram_from_dict",
+    "save_diagram",
+    "load_diagram",
 ]
 
 

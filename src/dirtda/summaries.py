@@ -1,12 +1,14 @@
 """Persistence landscapes and distances between persistence diagrams.
 
 Landscapes sample the k largest tent functions of a diagram on a uniform
-grid. Bottleneck distance is exact: a perfect-matching check at the lower
-bound every row and column of the augmented graph imposes settles most
-pairs, and otherwise a binary search over the candidate radii above it runs
-up to the diagonal bound. Wasserstein distance is solved as an assignment
-problem on the diagonally augmented point sets with infinity-norm ground
-metric. Both distances use scipy's dense assignment solver, which is
+grid. Both diagram distances read one matrix: the radius at which each edge
+of the diagonally augmented bipartite graph between the two point sets
+exists, with infinity-norm ground metric and inf for edges no matching may
+use. Bottleneck distance is exact: a perfect-matching check at the lower
+bound every row and column of that graph imposes settles most pairs, and
+otherwise a binary search over the edge radii above it runs up to the
+diagonal bound. Wasserstein distance is the cheapest assignment of the same
+matrix raised to q. Both use scipy's dense assignment solver, which is
 imported on the first distance computed, so importing this module does not
 load scipy.
 """
@@ -131,16 +133,20 @@ def landscape_distance(
     raise ValueError(f"p must be 2 or inf, got {p}")
 
 
-def _split_points(
-    diagram: PersistenceDiagram, dim: int
-) -> tuple[list[tuple[float, float]], list[float]]:
-    finite = [(b, d) for k, b, d in diagram.pairs if k == dim and math.isfinite(d)]
-    infinite = [b for k, b, d in diagram.pairs if k == dim and math.isinf(d)]
-    return finite, infinite
+def _finite_points(diagram: PersistenceDiagram, dim: int) -> list[tuple[float, float]]:
+    return [(b, d) for b, d in diagram.in_dim(dim) if math.isfinite(d)]
 
 
-def _diag_gap(p: tuple[float, float]) -> float:
-    return (p[1] - p[0]) / 2.0
+def _essential_gaps(
+    a: PersistenceDiagram, b: PersistenceDiagram, dim: int
+) -> list[float] | None:
+    """Birth gaps of the infinite-death points of a and b, paired in birth
+    order, or None when the two diagrams hold different numbers of them."""
+    births_a = sorted(x for x, d in a.in_dim(dim) if math.isinf(d))
+    births_b = sorted(y for y, d in b.in_dim(dim) if math.isinf(d))
+    if len(births_a) != len(births_b):
+        return None
+    return [abs(x - y) for x, y in zip(births_a, births_b)]
 
 
 def _edge_radii(
@@ -152,7 +158,8 @@ def _edge_radii(
     b-points plus one proxy per a-point. A point may pair with any point of
     the other diagram (infinity-norm distance) or with its own proxy (half
     its lifetime); proxies pair with each other for free. Missing edges are
-    inf.
+    inf. The bottleneck distance searches these radii; the q-Wasserstein
+    cost matrix is these radii raised to q.
     """
     m, n = len(a), len(b)
     pa = np.array(a, dtype=float).reshape(m, 2)
@@ -168,7 +175,12 @@ def _edge_radii(
 
 
 def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of a minimum-cost assignment of a square cost matrix."""
+    """Rows and columns of a minimum-cost assignment of a square cost matrix.
+
+    inf entries are edges the assignment may not use; every augmented
+    matrix has a finite assignment, each point to its own proxy and proxy
+    to proxy, so the solver never finds one infeasible.
+    """
     # imported here so that importing dirtda does not pay for scipy
     from scipy.optimize import linear_sum_assignment
 
@@ -188,11 +200,6 @@ def _matchable_within(radii: np.ndarray, radius: float) -> bool:
     return not over[rows, cols].any()
 
 
-def _infinite_part_max(a_births: list[float], b_births: list[float]) -> float:
-    paired = zip(sorted(a_births), sorted(b_births))
-    return max((abs(x - y) for x, y in paired), default=0.0)
-
-
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     """Exact bottleneck distance between the dim-slices of two diagrams.
 
@@ -207,24 +214,24 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     largest half-lifetime, where matching every point to the diagonal is
     always perfect.
     """
-    fin_a, inf_a = _split_points(a, dim)
-    fin_b, inf_b = _split_points(b, dim)
-    if len(inf_a) != len(inf_b):
+    gaps = _essential_gaps(a, b, dim)
+    if gaps is None:
         return math.inf
-    inf_part = _infinite_part_max(inf_a, inf_b)
+    inf_part = max(gaps, default=0.0)
 
+    fin_a, fin_b = _finite_points(a, dim), _finite_points(b, dim)
     radii = _edge_radii(fin_a, fin_b)
     # every row and every column needs an edge, so no smaller radius is feasible
     lb = max(radii.min(axis=1).max(), radii.min(axis=0).max()) if len(radii) else 0.0
     if _matchable_within(radii, lb):
         return max(float(lb), inf_part)
-    ub = max(_diag_gap(p) for p in fin_a + fin_b)
+    ub = max((death - birth) / 2.0 for birth, death in fin_a + fin_b)
     if not _matchable_within(radii, ub):
         raise AssertionError("the diagonal bound must be feasible")
-    ordered = np.union1d([0.0], radii[np.isfinite(radii)])
-    # smallest feasible radius in (lb, ub]; feasibility is monotone in the radius
-    lo = int(np.searchsorted(ordered, lb, side="right"))
-    hi = int(np.searchsorted(ordered, ub))
+    # smallest feasible radius in (lb, ub]; feasibility is monotone in the
+    # radius, and ub is an edge radius, so the last candidate is feasible
+    ordered = np.unique(radii[(radii > lb) & (radii <= ub)])
+    lo, hi = 0, len(ordered) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         if _matchable_within(radii, ordered[mid]):
@@ -239,42 +246,26 @@ def wasserstein(
 ) -> float:
     """q-Wasserstein distance with infinity-norm ground metric.
 
-    Point sets are augmented with diagonal projections and matched by an
-    exact assignment solver; the cost of a matching is the sum of
-    displacement^q, and the returned distance is its q-th root. Infinite
-    points follow the same convention as the bottleneck distance.
+    The cost matrix is the bottleneck's augmented edge radii raised to q,
+    inf marking the edges no matching may use, and an exact assignment
+    solver finds the cheapest matching; the returned distance is the q-th
+    root of its cost. Infinite points follow the same convention as the
+    bottleneck distance. q must be finite and at least 1.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    fin_a, inf_a = _split_points(a, dim)
-    fin_b, inf_b = _split_points(b, dim)
-    if len(inf_a) != len(inf_b):
+    if not (math.isfinite(q) and q >= 1):
+        raise ValueError(f"q must be finite and >= 1, got {q}")
+    gaps = _essential_gaps(a, b, dim)
+    if gaps is None:
         return math.inf
-    inf_cost = sum(
-        abs(x - y) ** q for x, y in zip(sorted(inf_a), sorted(inf_b))
-    )
 
-    m, n = len(fin_a), len(fin_b)
-    if m + n == 0:
-        return float(inf_cost ** (1.0 / q))
-    cost = np.zeros((m + n, m + n))
-    block = _edge_radii(fin_a, fin_b)[:m, :n]
+    cost = _edge_radii(_finite_points(a, dim), _finite_points(b, dim))
     if q != 1:
-        # Python's float power, not numpy's, which can differ in the last bit
-        block = np.array([r ** q for r in block.ravel().tolist()]).reshape(m, n)
-    cost[:m, :n] = block
-    diag_a = [_diag_gap(p) ** q for p in fin_a]
-    diag_b = [_diag_gap(p) ** q for p in fin_b]
-    big = (cost.sum() + sum(diag_a) + sum(diag_b) + 1.0) * 2
-    cost[:m, n:] = big
-    cost[m:, :n] = big
-    for i in range(m):
-        cost[i, n + i] = diag_a[i]
-    for j in range(n):
-        cost[m + j, j] = diag_b[j]
-    # lower-right block: diagonal to diagonal is free
+        # Python's float power, not numpy's, which can differ in the last
+        # bit; 0 and inf are their own powers
+        powered = (cost > 0) & np.isfinite(cost)
+        cost[powered] = [r ** q for r in cost[powered].tolist()]
     rows, cols = _assign(cost)
-    total = float(cost[rows, cols].sum()) + float(inf_cost)
+    total = float(cost[rows, cols].sum()) + sum(g ** q for g in gaps)
     return float(total ** (1.0 / q))
 
 

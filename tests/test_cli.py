@@ -266,6 +266,15 @@ class TestArgErrors:
                    "--out", workdir / "x.json") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_compare_refuses_non_finite_q(self, tmp_path, capsys, q):
+        dia = tmp_path / "dia.json"
+        save_diagram(PersistenceDiagram(((1, 0.0, 2.0),)), str(dia))
+        assert run("compare", "--a", dia, "--b", dia, "--dim", "1", "--q", q) == 1
+        captured = capsys.readouterr()
+        assert f"q must be finite and >= 1, got {q}" in captured.err
+        assert captured.out == ""
+
     def test_unknown_subcommand_raises_system_exit(self):
         with pytest.raises(SystemExit):
             run("frobnicate")

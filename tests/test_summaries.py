@@ -224,6 +224,19 @@ class TestLandscapeDistance:
             landscape_distance(ls, ls, 3)
 
 
+@pytest.fixture
+def probes(monkeypatch):
+    """Radii at which bottleneck checks for a perfect matching, in call order."""
+    calls, matchable_within = [], summaries._matchable_within
+
+    def counting(radii, radius):
+        calls.append(radius)
+        return matchable_within(radii, radius)
+
+    monkeypatch.setattr(summaries, "_matchable_within", counting)
+    return calls
+
+
 class TestBottleneck:
     def test_identical_zero(self):
         assert bottleneck(SINGLE, SINGLE, 1) == 0.0
@@ -260,25 +273,20 @@ class TestBottleneck:
         b = diagram([(1, 2.0 * i + 0.9, 2.0 * i + 0.9 + 1e4) for i in range(1000)])
         assert bottleneck(a, b, 1) == pytest.approx(0.9, abs=1e-9)
 
-    def test_lower_bound_infeasible(self):
+    def test_lower_bound_infeasible(self, probes):
         # lb ~ 0.1 (the second a-point's nearest edge), but both a-points then
         # need the one b-point; the answer sends one of them to the diagonal
         a = diagram([(1, 0.0, 2.0), (1, 0.1, 2.1)])
         b = diagram([(1, 0.0, 2.0)])
         assert bottleneck(a, b, 1) == 1.0
+        # the lower bound, then the diagonal bound; no edge radius lies between
+        assert probes == [0.10000000000000009, 1.0]
 
-    def test_feasible_lower_bound_needs_one_matching(self, monkeypatch):
-        calls, matchable_within = [], summaries._matchable_within
-
-        def counting(radii, radius):
-            calls.append(radius)
-            return matchable_within(radii, radius)
-
-        monkeypatch.setattr(summaries, "_matchable_within", counting)
+    def test_feasible_lower_bound_needs_one_matching(self, probes):
         a = diagram([(1, 0.0, 2.0)])
         b = diagram([(1, 0.5, 2.5)])
         assert bottleneck(a, b, 1) == 0.5
-        assert calls == [0.5]
+        assert probes == [0.5]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -364,6 +372,23 @@ class TestWasserstein:
         with pytest.raises(ValueError):
             wasserstein(SINGLE, SINGLE, 1, 0.5)
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_non_finite_q_rejected(self, q):
+        # at q = inf the q-th root of a zero cost is 0 ** 0 = 1.0, not 0
+        with pytest.raises(ValueError, match=f"q must be finite and >= 1, got {q}"):
+            wasserstein(SINGLE, SINGLE, 1, q)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_identical_essential_only_zero(self, q):
+        a = diagram([(1, 0.0, math.inf), (1, 1.0, math.inf)])
+        assert wasserstein(a, a, 1, q) == 0.0
+
+    def test_essential_births_paired_in_order(self):
+        a = diagram([(1, 1.0, math.inf), (1, 0.0, math.inf)])
+        b = diagram([(1, 0.5, math.inf), (1, 2.5, math.inf)])
+        assert wasserstein(a, b, 1, 1.0) == 2.0
+        assert wasserstein(a, b, 1, 2.0) == math.sqrt(2.5)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(quantized_diagrams(), small_diagrams()),
@@ -374,6 +399,27 @@ class TestWasserstein:
     @example(diagram([(1, 3.72, 7.9)]), diagram([(1, 4.11, 7.86)]), 3.5)
     def test_matches_loop_oracle(self, a, b, q):
         assert wasserstein(a, b, 1, q) == oracle_wasserstein(a.in_dim(1), b.in_dim(1), q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(quantized_diagrams(), small_diagrams()),
+        st.one_of(quantized_diagrams(), small_diagrams()),
+        st.lists(st.floats(0.0, 5.0), min_size=0, max_size=3),
+        st.data(),
+        st.sampled_from([1.0, 2.0, 3.5]),
+    )
+    def test_finite_and_essential_parts_add(self, a, b, births_a, data, q):
+        births_b = data.draw(
+            st.lists(st.floats(0.0, 5.0), min_size=len(births_a), max_size=len(births_a))
+        )
+        with_a = diagram(a.pairs + tuple((1, x, math.inf) for x in births_a))
+        with_b = diagram(b.pairs + tuple((1, y, math.inf) for y in births_b))
+        essential = sum(
+            abs(x - y) ** q for x, y in zip(sorted(births_a), sorted(births_b))
+        )
+        finite = oracle_wasserstein(a.in_dim(1), b.in_dim(1), q)
+        expected = (finite**q + essential) ** (1.0 / q)
+        assert wasserstein(with_a, with_b, 1, q) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestMetricProperties:
