@@ -153,7 +153,10 @@ def _coboundaries(facets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     ascending rank order.
     """
     flat = facets.ravel()
-    cobound = np.argsort(flat, kind="stable") // facets.shape[1]
+    # the narrowest unsigned type holding every rank gives the same stable
+    # permutation; at 16 bits or fewer numpy's stable sort is a radix sort
+    narrow = flat.astype(np.min_scalar_type(max(m - 1, 0)))
+    cobound = np.argsort(narrow, kind="stable") // facets.shape[1]
     start = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(flat, minlength=m), out=start[1:])
     return cobound, start
@@ -253,11 +256,27 @@ def diagram_to_dict(diagram: PersistenceDiagram) -> dict[str, Any]:
 
 
 def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
+    """Inverse of diagram_to_dict.
+
+    Raises ValueError naming the pair's index when its dim is not a
+    non-negative integer, its birth is not finite, its death is NaN or its
+    death lies below its birth.
+    """
     pairs = []
-    for item in doc["pairs"]:
+    for i, item in enumerate(doc["pairs"]):
+        dim = item["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+            raise ValueError(f"diagram pair {i}: dim must be a non-negative integer, got {dim!r}")
+        birth = float(item["birth"])
+        if not math.isfinite(birth):
+            raise ValueError(f"diagram pair {i}: birth must be finite, got {birth}")
         death = item["death"]
         death = math.inf if death == "inf" else float(death)
-        pairs.append((int(item["dim"]), float(item["birth"]), death))
+        if math.isnan(death):
+            raise ValueError(f"diagram pair {i}: death must not be NaN")
+        if death < birth:
+            raise ValueError(f"diagram pair {i}: death {death} is below birth {birth}")
+        pairs.append((dim, birth, death))
     pairs.sort(key=lambda p: (p[0], p[1], p[2]))
     return PersistenceDiagram(tuple(pairs))
 

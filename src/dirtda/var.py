@@ -36,6 +36,9 @@ _MAX_CONDITION = 1e12
 # forming the Gram matrix squares it, and cond**2 * eps then stays below 1e-10
 _GRAM_MAX_CONDITION = 1e3
 
+# rows of the lagged window summed into select_order's Gram matrix at a time
+_GRAM_BLOCK_ROWS = 2048
+
 _STABILITY_MARGIN = 1e-8
 
 
@@ -156,11 +159,42 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
     return VarModel(coeffs, sigma)
 
 
-def _gram_factor(m: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor of m.T @ m, or None when Cholesky fails or the
+def _lagged_gram(x: np.ndarray, k: int) -> np.ndarray:
+    """M^T M for M = _lag_design(x, k, k, response=True), without building M.
+
+    Row i of a read-only view of x is x[i : i + k + 1] flattened, that is
+    [x(t-k), ..., x(t-1), x(t)] at t = i + k; those rows sit next to each
+    other in memory. The view's Gram matrix and column sums are summed over
+    blocks of _GRAM_BLOCK_ROWS rows, each copied into one reused buffer, and
+    then placed in M's column order: intercept, lags 1..k, response.
+    """
+    t, d = x.shape
+    width = (k + 1) * d
+    lagged = np.lib.stride_tricks.sliding_window_view(np.ravel(x), width)[::d]
+    # the view's Gram matrix bordered by its column sums and row count
+    gram = np.zeros((width + 1, width + 1))
+    gram[0, 0] = t - k
+    # matmul on a contiguous copy is faster, and smaller, than on the view
+    buffer = np.empty((min(_GRAM_BLOCK_ROWS, t - k), width))
+    for start in range(0, t - k, _GRAM_BLOCK_ROWS):
+        rows = lagged[start : start + _GRAM_BLOCK_ROWS]
+        block = buffer[: len(rows)]
+        block[...] = rows
+        gram[1:, 1:] += block.T @ block
+        gram[0, 1:] += block.sum(axis=0)
+    gram[1:, 0] = gram[0, 1:]
+    # the view's column blocks run lag k, ..., lag 1, response, so M's lag j
+    # is the view's block k - j
+    blocks = np.array([*range(k - 1, -1, -1), k])
+    order = np.concatenate(([0], 1 + (blocks[:, None] * d + np.arange(d)).ravel()))
+    return gram[np.ix_(order, order)]
+
+
+def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor of gram, or None when Cholesky fails or the
     factor's condition number exceeds _GRAM_MAX_CONDITION."""
     try:
-        r = np.linalg.cholesky(m.T @ m, upper=True)
+        r = np.linalg.cholesky(gram, upper=True)
     except np.linalg.LinAlgError:
         return None
     sv = np.linalg.svd(r, compute_uv=False)
@@ -185,11 +219,13 @@ def select_order(
     Cholesky factor of M^T M when that factor's condition number is at
     most _GRAM_MAX_CONDITION; a column subset is never worse conditioned,
     so that one check covers every order, and each residual covariance's
-    condition number is then at most _GRAM_MAX_CONDITION**2. Otherwise R
-    comes from a QR of M and each order is checked on its own: a singular
-    design raises naming the condition estimate of the first order that
-    fails, and so does a residual covariance whose condition number exceeds
-    _MAX_CONDITION, whose log-determinant would be rounding noise.
+    condition number is then at most _GRAM_MAX_CONDITION**2. M^T M is
+    summed over blocks of rows of a lagged view of the window, so M itself
+    is never built on this path. Otherwise M is built, R comes from its QR,
+    and each order is checked on its own: a singular design raises naming
+    the condition estimate of the first order that fails, and so does a
+    residual covariance whose condition number exceeds _MAX_CONDITION,
+    whose log-determinant would be rounding noise.
     """
     x = series.samples
     t, d = x.shape
@@ -202,11 +238,10 @@ def select_order(
             f"up to {k_max} on {d} channels, got T={t}"
         )
     t_eff = t - k_max
-    m = _lag_design(x, k_max, k_max, response=True)
-    r = _gram_factor(m)
+    r = _gram_factor(_lagged_gram(x, k_max))
     check_each_order = r is None
     if check_each_order:
-        r = np.linalg.qr(m, mode="r")
+        r = np.linalg.qr(_lag_design(x, k_max, k_max, response=True), mode="r")
     p_max = 1 + k_max * d
     best_k, best_score = 0, np.inf
     for k in range(1, k_max + 1):

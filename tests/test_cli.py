@@ -275,6 +275,15 @@ class TestArgErrors:
         assert f"q must be finite and >= 1, got {q}" in captured.err
         assert captured.out == ""
 
+    def test_compare_refuses_death_below_birth(self, tmp_path, capsys):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(json.dumps({"pairs": [{"dim": 1, "birth": 0.4, "death": 0.1}]}))
+        save_diagram(PersistenceDiagram(((1, 0.1, 0.3),)), str(good))
+        assert run("compare", "--a", bad, "--b", good, "--dim", "1") == 1
+        captured = capsys.readouterr()
+        assert "diagram pair 0: death 0.1 is below birth 0.4" in captured.err
+        assert captured.out == ""
+
     def test_unknown_subcommand_raises_system_exit(self):
         with pytest.raises(SystemExit):
             run("frobnicate")

@@ -15,7 +15,7 @@ from dirtda import (
     save_diagram,
     total_persistence,
 )
-from dirtda.homology import diagram_from_dict, diagram_to_dict
+from dirtda.homology import _coboundaries, diagram_from_dict, diagram_to_dict
 
 import reference_reduction
 from naive_homology import naive_persistence
@@ -292,6 +292,45 @@ class TestSerialization:
         assert "inf" in deaths
         assert json.loads(json.dumps(doc)) == doc
         assert diagram_from_dict(doc).pairs == dia.pairs
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ({"dim": -1, "birth": 0.1, "death": 0.3}, "dim must be a non-negative integer"),
+            ({"dim": 1.5, "birth": 0.1, "death": 0.3}, "dim must be a non-negative integer"),
+            ({"dim": "1", "birth": 0.1, "death": 0.3}, "dim must be a non-negative integer"),
+            ({"dim": True, "birth": 0.1, "death": 0.3}, "dim must be a non-negative integer"),
+            ({"dim": 1, "birth": "inf", "death": "inf"}, "birth must be finite"),
+            ({"dim": 1, "birth": "nan", "death": 0.3}, "birth must be finite"),
+            ({"dim": 1, "birth": 0.1, "death": "nan"}, "death must not be NaN"),
+            ({"dim": 1, "birth": 0.4, "death": 0.1}, "death 0.1 is below birth 0.4"),
+            ({"dim": 0, "birth": 0.4, "death": "-inf"}, "death -inf is below birth 0.4"),
+        ],
+    )
+    def test_invalid_pair_rejected_with_its_index(self, pair, message):
+        doc = {"pairs": [{"dim": 0, "birth": 0.0, "death": "inf"}, pair]}
+        with pytest.raises(ValueError, match=f"^diagram pair 1: {message}"):
+            diagram_from_dict(doc)
+
+    def test_zero_persistence_pair_accepted(self):
+        doc = {"pairs": [{"dim": 2, "birth": 0.5, "death": 0.5}]}
+        assert diagram_from_dict(doc).pairs == ((2, 0.5, 0.5),)
+
+
+@pytest.mark.parametrize("m", [0, 256, 257, 65_536, 65_537])
+def test_coboundaries_match_the_int64_argsort(m):
+    # the narrowed sort key switches from uint8 to uint16 above m = 256 and
+    # from uint16 (radix sort) to uint32 above m = 65,536
+    rng = np.random.default_rng(m)
+    facets = rng.integers(0, max(m, 1), size=(2 * m, 3), dtype=np.int64)
+    if m:
+        facets[rng.integers(len(facets)), 0] = m - 1
+    flat = facets.ravel()
+    cobound, start = _coboundaries(facets, m)
+    assert cobound.dtype == np.intp
+    np.testing.assert_array_equal(cobound, np.argsort(flat, kind="stable") // 3)
+    np.testing.assert_array_equal(start[1:], np.cumsum(np.bincount(flat, minlength=m)))
+    assert start[0] == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,56 @@ class TestSelectOrder:
         s = MultivariateSeries(x, 1.0, default_labels(5))
         assert select_order(s, 3) == reference_select_order.select_order(s, 3)
         assert calls == qr_shapes
+
+
+_BLOCK = dirtda.var._GRAM_BLOCK_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    # T - k below, equal to, one above and a multiple of the block size
+    st.one_of(
+        st.integers(min_value=1, max_value=_BLOCK - 1),
+        st.sampled_from([_BLOCK, _BLOCK + 1, 2 * _BLOCK, 3 * _BLOCK]),
+    ),
+    st.booleans(),
+)
+def test_blocked_gram_matches_the_design_gram(seed, d, k, t_eff, fortran):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc=rng.uniform(-3.0, 3.0, size=d), size=(t_eff + k, d))
+    if fortran:
+        x = np.asfortranarray(x)
+    m = dirtda.var._lag_design(x, k, k, response=True)
+    expected = m.T @ m
+    got = dirtda.var._lagged_gram(x, k)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_well_conditioned_window_builds_no_design(monkeypatch):
+    def no_design(*args, **kwargs):
+        raise AssertionError("the lag design was built for a well-conditioned window")
+
+    monkeypatch.setattr(dirtda.var, "_lag_design", no_design)
+    s = simulate_var(TRUE_MODEL, 3000, seed=28)
+    for crit in OrderCriterion:
+        assert select_order(s, 6, crit) == reference_select_order.select_order(s, 6, crit)
+
+
+def test_select_order_peak_memory_stays_below_half_the_design():
+    t, d, k_max = 20_000, 5, 12
+    s = MultivariateSeries(np.random.default_rng(29).normal(size=(t, d)), 1.0, default_labels(d))
+    design_bytes = (t - k_max) * (1 + k_max * d + d) * 8  # 10.5 MB
+    tracemalloc.start()
+    try:
+        select_order(s, k_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < design_bytes / 2
 
 
 def _stable_var(seed: int, d: int, k: int, radius: float) -> VarModel:
