@@ -84,7 +84,16 @@ class PersistenceDiagram:
     pairs: tuple[tuple[int, float, float], ...]
 
     def in_dim(self, dim: int) -> tuple[tuple[float, float], ...]:
+        """(birth, death) of the pairs in dimension dim, a non-negative int;
+        a dimension above every pair's is empty."""
+        if not _is_dim(dim):
+            raise ValueError(f"dim must be a non-negative integer, got {dim!r}")
         return tuple((b, d) for k, b, d in self.pairs if k == dim)
+
+
+def _is_dim(value: Any) -> bool:
+    """A homology dimension: a non-negative int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def rips_filtration(dm: DistanceMatrix, max_dim: int = 2) -> Filtration:
@@ -265,7 +274,7 @@ def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
     pairs = []
     for i, item in enumerate(doc["pairs"]):
         dim = item["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        if not _is_dim(dim):
             raise ValueError(f"diagram pair {i}: dim must be a non-negative integer, got {dim!r}")
         birth = float(item["birth"])
         if not math.isfinite(birth):

@@ -48,6 +48,7 @@ from .summaries import (
     DEFAULT_K_MAX,
     DEFAULT_N_GRID,
     PersistenceLandscape,
+    _shared_matchings,
     bottleneck,
     landscape,
     landscape_distance,
@@ -272,10 +273,12 @@ def diagram_distances(
     """Bottleneck, q-Wasserstein and landscape L2 distances in one dimension.
 
     ls_a and ls_b are the two diagrams' landscapes in dim on one grid. An
-    infinite distance is written "inf", as JSON has no infinity.
+    infinite distance is written "inf", as JSON has no infinity. The two
+    diagram distances share one augmented matrix.
     """
-    was = wasserstein(dia_a, dia_b, dim, q)
-    bot = bottleneck(dia_a, dia_b, dim)
+    with _shared_matchings():
+        was = wasserstein(dia_a, dia_b, dim, q)
+        bot = bottleneck(dia_a, dia_b, dim)
     return {
         "bottleneck": bot if math.isfinite(bot) else "inf",
         "wasserstein": was if math.isfinite(was) else "inf",

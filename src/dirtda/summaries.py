@@ -8,16 +8,24 @@ use. Bottleneck distance is exact: a perfect-matching check at the lower
 bound every row and column of that graph imposes settles most pairs, and
 otherwise a binary search over the edge radii above it runs up to the
 diagonal bound. Wasserstein distance is the cheapest assignment of the same
-matrix raised to q. Both use scipy's dense assignment solver, which is
-imported on the first distance computed, so importing this module does not
-load scipy.
+matrix raised to q. Both use scipy's dense assignment solver. The first
+distance computed loads only the compiled module that defines it, not the
+scipy.optimize package, so importing this module loads no scipy and a
+distance loads one scipy module.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -174,17 +182,65 @@ def _edge_radii(
     return radii
 
 
+def _lsap_file() -> str | None:
+    """Path of scipy's compiled assignment-solver module, None if not found.
+
+    find_spec of a top-level package locates it without importing it.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.submodule_search_locations is None:
+        return None
+    for root in spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@functools.cache
+def _solver() -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """scipy's linear_sum_assignment, loaded once, on the first distance.
+
+    scipy.optimize.linear_sum_assignment is the function of the compiled
+    module scipy.optimize._lsap, input checks included. Importing the
+    package for it would load ~320 scipy modules, scipy.linalg and
+    scipy.sparse among them, and scipy's own BLAS: ~48 MB and ~0.4 s. So
+    the module is loaded on its own, under its own name, and a later
+    import of scipy.optimize reuses it. A package already imported is used
+    as it is; a scipy whose module cannot be found or loaded this way is
+    imported whole.
+    """
+    if "scipy.optimize" in sys.modules:
+        return sys.modules["scipy.optimize"].linear_sum_assignment
+    path = _lsap_file()
+    if path is not None:
+        name = "scipy.optimize._lsap"
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader)
+            )
+            loader.exec_module(module)
+        except ImportError:
+            pass
+        else:
+            sys.modules[name] = module
+            return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
 def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of a minimum-cost assignment of a square cost matrix.
 
     inf entries are edges the assignment may not use; every augmented
     matrix has a finite assignment, each point to its own proxy and proxy
-    to proxy, so the solver never finds one infeasible.
+    to proxy, so the solver never finds one infeasible. The solver is
+    scipy's linear_sum_assignment, resolved by _solver on first use.
     """
-    # imported here so that importing dirtda does not pay for scipy
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment(cost)
+    return _solver()(cost)
 
 
 def _matchable_within(radii: np.ndarray, radius: float) -> bool:
@@ -198,6 +254,56 @@ def _matchable_within(radii: np.ndarray, radius: float) -> bool:
     over = radii > radius
     rows, cols = _assign(over)
     return not over[rows, cols].any()
+
+
+# set by _shared_matchings(): (a, b, dim) -> ((a, b), _matching's result)
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "dirtda_shared_matchings", default=None
+)
+
+
+@contextlib.contextmanager
+def _shared_matchings() -> Iterator[None]:
+    """Within the block, both distances of one pair of diagrams and one dim
+    read one augmented matrix and one set of essential gaps.
+
+    The matrix is built by the first distance and kept, read-only, until
+    the block ends; distances are the same as without the block.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _matching(
+    a: PersistenceDiagram, b: PersistenceDiagram, dim: int
+) -> tuple[np.ndarray, float, list[float]] | None:
+    """What both distances read from the dim-slices of a and b.
+
+    The augmented edge radii of their finite points (read-only), the
+    diagonal bound (the largest half-lifetime of any finite point, 0.0 with
+    none) and the birth gaps of their essential points; None when a and b
+    hold different numbers of essential points.
+    """
+    shared = _SHARED.get()
+    key = (id(a), id(b), dim)
+    if shared is not None and key in shared:
+        return shared[key][1]
+    gaps = _essential_gaps(a, b, dim)
+    if gaps is None:
+        result = None
+    else:
+        fin_a, fin_b = _finite_points(a, dim), _finite_points(b, dim)
+        ub = max(((death - birth) / 2.0 for birth, death in fin_a + fin_b), default=0.0)
+        radii = _edge_radii(fin_a, fin_b)
+        radii.setflags(write=False)
+        result = radii, ub, gaps
+    if shared is not None:
+        # the diagrams are kept with the result, so their ids stay unique
+        shared[key] = ((a, b), result)
+    return result
 
 
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
@@ -214,18 +320,15 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     largest half-lifetime, where matching every point to the diagonal is
     always perfect.
     """
-    gaps = _essential_gaps(a, b, dim)
-    if gaps is None:
+    matching = _matching(a, b, dim)
+    if matching is None:
         return math.inf
+    radii, ub, gaps = matching
     inf_part = max(gaps, default=0.0)
-
-    fin_a, fin_b = _finite_points(a, dim), _finite_points(b, dim)
-    radii = _edge_radii(fin_a, fin_b)
     # every row and every column needs an edge, so no smaller radius is feasible
     lb = max(radii.min(axis=1).max(), radii.min(axis=0).max()) if len(radii) else 0.0
     if _matchable_within(radii, lb):
         return max(float(lb), inf_part)
-    ub = max((death - birth) / 2.0 for birth, death in fin_a + fin_b)
     if not _matchable_within(radii, ub):
         raise AssertionError("the diagonal bound must be feasible")
     # smallest feasible radius in (lb, ub]; feasibility is monotone in the
@@ -254,14 +357,15 @@ def wasserstein(
     """
     if not (math.isfinite(q) and q >= 1):
         raise ValueError(f"q must be finite and >= 1, got {q}")
-    gaps = _essential_gaps(a, b, dim)
-    if gaps is None:
+    matching = _matching(a, b, dim)
+    if matching is None:
         return math.inf
-
-    cost = _edge_radii(_finite_points(a, dim), _finite_points(b, dim))
+    cost, _, gaps = matching
     if q != 1:
-        # Python's float power, not numpy's, which can differ in the last
-        # bit; 0 and inf are their own powers
+        # on a copy, as the radii may be shared with bottleneck; Python's
+        # float power, not numpy's, which can differ in the last bit; 0 and
+        # inf are their own powers
+        cost = cost.copy()
         powered = (cost > 0) & np.isfinite(cost)
         cost[powered] = [r ** q for r in cost[powered].tolist()]
     rows, cols = _assign(cost)

@@ -284,6 +284,20 @@ class TestArgErrors:
         assert "diagram pair 0: death 0.1 is below birth 0.4" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["compare", "landscape"])
+    def test_negative_dim_refused(self, tmp_path, capsys, command):
+        dia, out = tmp_path / "dia.json", tmp_path / "out.json"
+        save_diagram(PersistenceDiagram(((1, 0.0, 2.0),)), str(dia))
+        if command == "compare":
+            argv = ["compare", "--a", dia, "--b", dia, "--out", out]
+        else:
+            argv = ["landscape", "--diagram", dia, "--out", out]
+        assert run(*argv, "--dim", "-1") == 1
+        captured = capsys.readouterr()
+        assert "error: dim must be a non-negative integer, got -1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unknown_subcommand_raises_system_exit(self):
         with pytest.raises(SystemExit):
             run("frobnicate")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dirtda import (
     DistanceMatrix,
+    PersistenceDiagram,
     load_diagram,
     persistence,
     rips_filtration,
@@ -315,6 +316,19 @@ class TestSerialization:
     def test_zero_persistence_pair_accepted(self):
         doc = {"pairs": [{"dim": 2, "birth": 0.5, "death": 0.5}]}
         assert diagram_from_dict(doc).pairs == ((2, 0.5, 0.5),)
+
+
+class TestInDim:
+    DIAGRAM = PersistenceDiagram(((0, 0.0, math.inf), (1, 0.2, 0.5)))
+
+    @pytest.mark.parametrize("dim", [-1, True, 1.0, "1", None])
+    def test_bad_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"dim must be a non-negative integer, got {dim!r}"):
+            self.DIAGRAM.in_dim(dim)
+
+    def test_dim_above_every_pair_is_empty(self):
+        assert self.DIAGRAM.in_dim(1) == ((0.2, 0.5),)
+        assert self.DIAGRAM.in_dim(7) == ()
 
 
 @pytest.mark.parametrize("m", [0, 256, 257, 65_536, 65_537])

@@ -1,7 +1,9 @@
+import importlib.machinery
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dirtda import (
     wasserstein,
 )
 from dirtda import summaries
+from dirtda.pipeline import diagram_distances
 from dirtda.summaries import landscape_from_dict, landscape_to_dict
 
 
@@ -329,17 +332,12 @@ def test_matchable_within_agrees_with_hopcroft_karp(case):
     )
 
 
-def test_scipy_loaded_only_by_first_distance():
-    # a module-level scipy import anywhere in dirtda puts ~0.5 s back into
-    # the start-up of every command, distance or not
-    script = (
-        "import sys\n"
-        "import dirtda, dirtda.cli\n"
-        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy on import'\n"
-        "a = dirtda.PersistenceDiagram(((1, 0.0, 2.0),))\n"
-        "dirtda.bottleneck(a, a, 1)\n"
-        "assert 'scipy.optimize' in sys.modules, 'scipy.optimize not loaded'\n"
-    )
+def run_python(script):
+    """Run script in a fresh interpreter that imports this checkout's dirtda.
+
+    This module imports scipy.optimize, and in a process that has it the
+    solver is taken from there, so the direct load is only seen afresh.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(dirtda.__file__)))
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
@@ -347,6 +345,124 @@ def test_scipy_loaded_only_by_first_distance():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_scipy_loaded_only_by_first_distance():
+    # a module-level scipy import anywhere in dirtda puts ~0.5 s back into
+    # the start-up of every command, distance or not; and a distance needs
+    # only the solver's own module, not the ~320 of scipy.optimize
+    run_python(
+        "import sys\n"
+        "import dirtda, dirtda.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy on import'\n"
+        "a = dirtda.PersistenceDiagram(((1, 0.0, 2.0),))\n"
+        "b = dirtda.PersistenceDiagram(((1, 0.5, 2.5),))\n"
+        "dirtda.bottleneck(a, b, 1)\n"
+        "dirtda.wasserstein(a, b, 1)\n"
+        "loaded = [m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+# square costs of sizes 0-11 with ~40% inf entries and a finite diagonal,
+# so that every one has a finite assignment
+RANDOM_COSTS = """
+import numpy as np
+rng = np.random.default_rng(7)
+costs = []
+for n in range(12):
+    cost = rng.uniform(0.0, 1.0, (n, n))
+    cost[rng.uniform(size=(n, n)) < 0.4] = np.inf
+    np.fill_diagonal(cost, rng.uniform(0.0, 1.0, n))
+    costs.append(cost)
+"""
+
+SAME_ASSIGNMENTS = """
+for cost in costs:
+    rows, cols = summaries._assign(cost)
+    ref_rows, ref_cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols), cost
+"""
+
+
+def test_later_scipy_optimize_import_reuses_the_solver():
+    run_python(
+        RANDOM_COSTS
+        + "import sys\n"
+        "import dirtda\n"
+        "from dirtda import summaries\n"
+        "a = dirtda.PersistenceDiagram(((1, 0.0, 2.0), (1, 0.5, 1.5)))\n"
+        "b = dirtda.PersistenceDiagram(((1, 0.2, 2.1),))\n"
+        "dirtda.wasserstein(a, b, 1)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize import linear_sum_assignment\n"
+        "assert linear_sum_assignment is summaries._solver()\n"
+        + SAME_ASSIGNMENTS
+    )
+
+
+@pytest.mark.parametrize("found", ["nothing", "unloadable"])
+def test_solver_falls_back_to_scipy_optimize(tmp_path, found):
+    # a scipy whose compiled module is elsewhere, or is not an extension
+    # this interpreter can load, is imported whole
+    bogus = tmp_path / ("_lsap" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    bogus.write_text("not an extension module")
+    lsap_file = None if found == "nothing" else str(bogus)
+    run_python(
+        RANDOM_COSTS
+        + "import sys\n"
+        "from dirtda import summaries\n"
+        f"summaries._lsap_file = lambda: {lsap_file!r}\n"
+        "summaries._assign(costs[3])\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "from scipy.optimize import linear_sum_assignment\n"
+        "assert summaries._solver() is linear_sum_assignment\n"
+        + SAME_ASSIGNMENTS
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(quantized_diagrams(), small_diagrams()),
+    st.one_of(quantized_diagrams(), small_diagrams()),
+    st.lists(st.floats(0.0, 5.0), max_size=2),
+    st.lists(st.floats(0.0, 5.0), max_size=2),
+    st.sampled_from([1.0, 2.5]),
+)
+def test_diagram_distances_build_one_matrix(a, b, births_a, births_b, q):
+    a = diagram(a.pairs + tuple((1, x, math.inf) for x in births_a))
+    b = diagram(b.pairs + tuple((1, y, math.inf) for y in births_b))
+    t_max = shared_t_max(a, b)
+    ls_a, ls_b = landscape(a, 1, t_max=t_max), landscape(b, 1, t_max=t_max)
+    builds, edge_radii = [], summaries._edge_radii
+
+    def counting(fin_a, fin_b):
+        builds.append(len(fin_a) + len(fin_b))
+        return edge_radii(fin_a, fin_b)
+
+    with mock.patch.object(summaries, "_edge_radii", counting):
+        got = diagram_distances(a, b, ls_a, ls_b, 1, q)
+    # the essential counts differ exactly when no matrix is needed
+    assert len(builds) == (0 if len(births_a) != len(births_b) else 1)
+    assert summaries._SHARED.get() is None
+    for name, value in (("bottleneck", bottleneck(a, b, 1)), ("wasserstein", wasserstein(a, b, 1, q))):
+        assert repr(got[name]) == repr(value if math.isfinite(value) else "inf")
+
+
+@pytest.mark.parametrize(
+    "distance",
+    [
+        lambda d, dim: landscape(d, dim),
+        lambda d, dim: bottleneck(d, d, dim),
+        lambda d, dim: wasserstein(d, d, dim),
+    ],
+    ids=["landscape", "bottleneck", "wasserstein"],
+)
+def test_negative_dim_is_not_an_empty_one(distance):
+    # -1 used to select no pair: an all-zero landscape and zero distances
+    with pytest.raises(ValueError, match="dim must be a non-negative integer, got -1"):
+        distance(SINGLE, -1)
 
 
 class TestWasserstein:
