@@ -39,7 +39,7 @@ class MultivariateSeries:
         Array of shape (n_samples, n_channels), float64, finite. The array
         is copied on construction and marked read-only.
     sampling_rate_hz : float
-        Sampling rate in Hz, > 0.
+        Sampling rate in Hz, finite and > 0.
     channel_labels : tuple[str, ...]
         One distinct label per channel.
     """
@@ -60,8 +60,10 @@ class MultivariateSeries:
             raise ValueError(
                 f"non-finite sample at row {bad[0] + 1}, channel index {bad[1] + 1}"
             )
-        if not self.sampling_rate_hz > 0:
-            raise ValueError(f"sampling_rate_hz must be > 0 (got {self.sampling_rate_hz})")
+        if not (math.isfinite(self.sampling_rate_hz) and self.sampling_rate_hz > 0):
+            raise ValueError(
+                f"sampling_rate_hz must be finite and > 0 (got {self.sampling_rate_hz})"
+            )
         labels = tuple(self.channel_labels) if self.channel_labels else default_labels(d)
         if len(labels) != d:
             raise ValueError(f"{len(labels)} labels for {d} channels")

@@ -8,6 +8,7 @@ norm of column q, so the squares in each column sum to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -127,8 +128,8 @@ def pdc_band(
     included in the grid; n_grid = 1 evaluates the band midpoint. The band
     must not extend past the Nyquist frequency fs_hz / 2.
     """
-    if fs_hz <= 0:
-        raise ValueError(f"fs_hz must be > 0, got {fs_hz}")
+    if not (math.isfinite(fs_hz) and fs_hz > 0):
+        raise ValueError(f"fs_hz must be finite and > 0, got {fs_hz}")
     if n_grid < 1:
         raise ValueError(f"n_grid must be >= 1, got {n_grid}")
     if band.high_hz > fs_hz / 2:

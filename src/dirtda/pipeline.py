@@ -48,7 +48,6 @@ from .summaries import (
     DEFAULT_K_MAX,
     DEFAULT_N_GRID,
     PersistenceLandscape,
-    _shared_matchings,
     bottleneck,
     landscape,
     landscape_distance,
@@ -136,8 +135,9 @@ _REQUIRED_KEYS = ("input", "fs_hz", "out_dir")
 
 # range-checked field, named as its config key -> (bound, test): a config
 # that would fail every cell, or stop a run after its first writes, fails
-# when it is built, before any write
+# when it is built, before any write; _CONFIG_FIELDS names the field
 _BOUNDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "fs_hz": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
     "order": (">= 1", lambda v: v >= 1),
     "select_k_max": (">= 1", lambda v: v is None or v >= 1),
     "n_grid": (">= 1", lambda v: v >= 1),
@@ -175,7 +175,7 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for key, (bound, ok) in _BOUNDS.items():
-            value = getattr(self, key)
+            value = getattr(self, _CONFIG_FIELDS[key][0])
             if not ok(value):
                 raise ValueError(f"config key {key!r}: must be {bound}, got {value!r}")
 
@@ -274,11 +274,10 @@ def diagram_distances(
 
     ls_a and ls_b are the two diagrams' landscapes in dim on one grid. An
     infinite distance is written "inf", as JSON has no infinity. The two
-    diagram distances share one augmented matrix.
+    diagram distances read one augmented matrix, cached by summaries.
     """
-    with _shared_matchings():
-        was = wasserstein(dia_a, dia_b, dim, q)
-        bot = bottleneck(dia_a, dia_b, dim)
+    was = wasserstein(dia_a, dia_b, dim, q)
+    bot = bottleneck(dia_a, dia_b, dim)
     return {
         "bottleneck": bot if math.isfinite(bot) else "inf",
         "wasserstein": was if math.isfinite(was) else "inf",

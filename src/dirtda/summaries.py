@@ -8,16 +8,15 @@ use. Bottleneck distance is exact: a perfect-matching check at the lower
 bound every row and column of that graph imposes settles most pairs, and
 otherwise a binary search over the edge radii above it runs up to the
 diagonal bound. Wasserstein distance is the cheapest assignment of the same
-matrix raised to q. Both use scipy's dense assignment solver. The first
-distance computed loads only the compiled module that defines it, not the
-scipy.optimize package, so importing this module loads no scipy and a
-distance loads one scipy module.
+matrix raised to q. The last pair's matrix is cached, so computing both
+distances of one pair builds it once. Both use scipy's dense assignment
+solver. The first distance computed loads only the compiled module that
+defines it, not the scipy.optimize package, so importing this module loads
+no scipy and a distance loads one scipy module.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import importlib.machinery
 import importlib.util
@@ -25,7 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -147,14 +146,14 @@ def _finite_points(diagram: PersistenceDiagram, dim: int) -> list[tuple[float, f
 
 def _essential_gaps(
     a: PersistenceDiagram, b: PersistenceDiagram, dim: int
-) -> list[float] | None:
+) -> tuple[float, ...] | None:
     """Birth gaps of the infinite-death points of a and b, paired in birth
     order, or None when the two diagrams hold different numbers of them."""
     births_a = sorted(x for x, d in a.in_dim(dim) if math.isinf(d))
     births_b = sorted(y for y, d in b.in_dim(dim) if math.isinf(d))
     if len(births_a) != len(births_b):
         return None
-    return [abs(x - y) for x, y in zip(births_a, births_b)]
+    return tuple(float(abs(x - y)) for x, y in zip(births_a, births_b))
 
 
 def _edge_radii(
@@ -256,54 +255,30 @@ def _matchable_within(radii: np.ndarray, radius: float) -> bool:
     return not over[rows, cols].any()
 
 
-# set by _shared_matchings(): (a, b, dim) -> ((a, b), _matching's result)
-_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "dirtda_shared_matchings", default=None
-)
-
-
-@contextlib.contextmanager
-def _shared_matchings() -> Iterator[None]:
-    """Within the block, both distances of one pair of diagrams and one dim
-    read one augmented matrix and one set of essential gaps.
-
-    The matrix is built by the first distance and kept, read-only, until
-    the block ends; distances are the same as without the block.
-    """
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
+@functools.lru_cache(maxsize=1, typed=True)
 def _matching(
     a: PersistenceDiagram, b: PersistenceDiagram, dim: int
-) -> tuple[np.ndarray, float, list[float]] | None:
+) -> tuple[np.ndarray, float, tuple[float, ...]] | None:
     """What both distances read from the dim-slices of a and b.
 
     The augmented edge radii of their finite points (read-only), the
     diagonal bound (the largest half-lifetime of any finite point, 0.0 with
     none) and the birth gaps of their essential points; None when a and b
     hold different numbers of essential points.
+
+    The last result is cached, keyed by the diagrams' values and by dim and
+    its type, so the second distance of one pair reads the first one's
+    matrix. The cache keeps that matrix and the two diagrams alive after
+    the call; at d = 32 the matrix is 31 kB in dim 0 and 45-77 kB in dim 1.
     """
-    shared = _SHARED.get()
-    key = (id(a), id(b), dim)
-    if shared is not None and key in shared:
-        return shared[key][1]
     gaps = _essential_gaps(a, b, dim)
     if gaps is None:
-        result = None
-    else:
-        fin_a, fin_b = _finite_points(a, dim), _finite_points(b, dim)
-        ub = max(((death - birth) / 2.0 for birth, death in fin_a + fin_b), default=0.0)
-        radii = _edge_radii(fin_a, fin_b)
-        radii.setflags(write=False)
-        result = radii, ub, gaps
-    if shared is not None:
-        # the diagrams are kept with the result, so their ids stay unique
-        shared[key] = ((a, b), result)
-    return result
+        return None
+    fin_a, fin_b = _finite_points(a, dim), _finite_points(b, dim)
+    ub = max(((death - birth) / 2.0 for birth, death in fin_a + fin_b), default=0.0)
+    radii = _edge_radii(fin_a, fin_b)
+    radii.setflags(write=False)
+    return radii, ub, gaps
 
 
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
@@ -362,9 +337,9 @@ def wasserstein(
         return math.inf
     cost, _, gaps = matching
     if q != 1:
-        # on a copy, as the radii may be shared with bottleneck; Python's
-        # float power, not numpy's, which can differ in the last bit; 0 and
-        # inf are their own powers
+        # on a copy, as the cached radii are read-only; Python's float
+        # power, not numpy's, which can differ in the last bit; 0 and inf
+        # are their own powers
         cost = cost.copy()
         powered = (cost > 0) & np.isfinite(cost)
         cost[powered] = [r ** q for r in cost[powered].tolist()]

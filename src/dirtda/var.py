@@ -87,20 +87,20 @@ class OrderCriterion(enum.Enum):
     BIC = "bic"
 
 
-def _lag_design(x: np.ndarray, k: int, t0: int, response: bool = False) -> np.ndarray:
-    """Rows t0 on of [1, x(t-1), ..., x(t-k)], followed by x(t) when response.
+def _lag_design(x: np.ndarray, k: int, response: bool = False) -> np.ndarray:
+    """Rows k on of [1, x(t-1), ..., x(t-k)], followed by x(t) when response.
 
     Written into one preallocated array; the columns are ordered by lag, so
     the first 1 + j*d columns are the regressors of every order j <= k.
     """
     t, d = x.shape
     p = 1 + k * d
-    out = np.empty((t - t0, p + d if response else p))
+    out = np.empty((t - k, p + d if response else p))
     out[:, 0] = 1.0
     for lag in range(1, k + 1):
-        out[:, 1 + (lag - 1) * d : 1 + lag * d] = x[t0 - lag : t - lag]
+        out[:, 1 + (lag - 1) * d : 1 + lag * d] = x[k - lag : t - lag]
     if response:
-        out[:, p:] = x[t0:]
+        out[:, p:] = x[k:]
     return out
 
 
@@ -114,13 +114,13 @@ def _check_condition(sv: np.ndarray) -> None:
         )
 
 
-def _ols(x: np.ndarray, k: int, t0: int) -> tuple[np.ndarray, np.ndarray]:
-    """OLS fit of a VAR(k) using responses from row t0 on.
+def _ols(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """OLS fit of a VAR(k) using responses from row k on.
 
     Returns (coeffs, residuals). Residual covariance is left to the caller.
     """
     d = x.shape[1]
-    y, design = x[t0:], _lag_design(x, k, t0)
+    y, design = x[k:], _lag_design(x, k)
     beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
     # the solver's singular values give the 2-norm condition number for free
     _check_condition(sv)
@@ -153,14 +153,14 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
         raise ValueError(
             f"need T > d*k + k observations to fit VAR({k}) on {d} channels, got T={t}"
         )
-    coeffs, resid = _ols(x, k, k)
+    coeffs, resid = _ols(x, k)
     sigma = resid.T @ resid / (t - k)
     sigma = 0.5 * (sigma + sigma.T)
     return VarModel(coeffs, sigma)
 
 
 def _lagged_gram(x: np.ndarray, k: int) -> np.ndarray:
-    """M^T M for M = _lag_design(x, k, k, response=True), without building M.
+    """M^T M for M = _lag_design(x, k, response=True), without building M.
 
     Row i of a read-only view of x is x[i : i + k + 1] flattened, that is
     [x(t-k), ..., x(t-1), x(t)] at t = i + k; those rows sit next to each
@@ -241,7 +241,7 @@ def select_order(
     r = _gram_factor(_lagged_gram(x, k_max))
     check_each_order = r is None
     if check_each_order:
-        r = np.linalg.qr(_lag_design(x, k_max, k_max, response=True), mode="r")
+        r = np.linalg.qr(_lag_design(x, k_max, response=True), mode="r")
     p_max = 1 + k_max * d
     best_k, best_score = 0, np.inf
     for k in range(1, k_max + 1):

@@ -7,6 +7,7 @@ import pytest
 
 from dirtda import (
     PersistenceDiagram,
+    fit_var,
     load_diagram,
     load_series,
     realize,
@@ -15,9 +16,9 @@ from dirtda import (
     system_one,
 )
 from dirtda.cli import main
-from dirtda.jsonio import read_json
+from dirtda.jsonio import read_json, write_json
 from dirtda.pdc import network_from_dict
-from dirtda.var import var_model_from_dict
+from dirtda.var import var_model_from_dict, var_model_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,12 @@ class TestRunCommand:
         assert run("run", "--config", path) == 1
         assert "fs_hz" in capsys.readouterr().err
 
+    def test_infinite_sampling_rate_exit_one_before_any_write(self, workdir, config_path, capsys):
+        out = workdir / "run_fs_inf"
+        assert run("run", "--config", config_path, "--out-dir", out, "--fs", "inf") == 1
+        assert "config key 'fs_hz': must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_override(self, workdir, config_path):
         out = workdir / "run_override"
         assert run("run", "--config", config_path, "--out-dir", out,
@@ -250,6 +257,16 @@ class TestArgErrors:
     def test_unknown_named_band(self, workdir, capsys):
         assert run("pdc", "--model", workdir / "model.json", "--band",
                    "nosuch", "--fs", "1.0", "--out", workdir / "x.json") == 1
+
+    @pytest.mark.parametrize("fs", ["inf", "nan"])
+    def test_pdc_refuses_non_finite_sampling_rate(self, tmp_path, capsys, fs):
+        # an infinite rate used to write a network evaluated at omega = 0
+        model, out = tmp_path / "model.json", tmp_path / "net.json"
+        write_json(var_model_to_dict(fit_var(realize(system_one(), 500, seed=1), 2)), str(model))
+        assert run("pdc", "--model", model, "--band", "peak:0.18:0.28",
+                   "--fs", fs, "--out", out) == 1
+        assert f"fs_hz must be finite and > 0, got {fs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_window_syntax(self, workdir, capsys):
         assert run("fit", "--input", workdir / "sim.csv", "--fs", "1.0",

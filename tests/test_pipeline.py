@@ -110,6 +110,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=f"config key '{key}': must be "):
             config(series_csv, "out", **{key: value})
 
+    @pytest.mark.parametrize("fs", [0.0, -1.0, float("inf"), float("nan")])
+    def test_sampling_rate_not_finite_and_positive_rejected(self, fs):
+        # an infinite rate used to pass, and every window became [0.0, 0.0)
+        with pytest.raises(ValueError, match="config key 'fs_hz': must be finite and > 0"):
+            PipelineConfig.from_dict({"input": "x.csv", "fs_hz": fs, "out_dir": "o"})
+
     def test_defaults_from_minimal_doc(self):
         cfg = PipelineConfig.from_dict(
             {"input": "x.csv", "fs_hz": 100.0, "out_dir": "o"}

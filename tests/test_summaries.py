@@ -441,13 +441,44 @@ def test_diagram_distances_build_one_matrix(a, b, births_a, births_b, q):
         builds.append(len(fin_a) + len(fin_b))
         return edge_radii(fin_a, fin_b)
 
+    # a pair equal to the last example's would find its matrix cached
+    summaries._matching.cache_clear()
     with mock.patch.object(summaries, "_edge_radii", counting):
         got = diagram_distances(a, b, ls_a, ls_b, 1, q)
     # the essential counts differ exactly when no matrix is needed
     assert len(builds) == (0 if len(births_a) != len(births_b) else 1)
-    assert summaries._SHARED.get() is None
     for name, value in (("bottleneck", bottleneck(a, b, 1)), ("wasserstein", wasserstein(a, b, 1, q))):
         assert repr(got[name]) == repr(value if math.isfinite(value) else "inf")
+
+
+def test_cached_matching_keeps_dim_types_apart():
+    # True == 1 and hash(True) == hash(1): an untyped cache would hand the
+    # dim-1 matrix to a bool dim instead of refusing it
+    assert wasserstein(SINGLE, DOUBLE, 1) == 1.0
+    with pytest.raises(ValueError, match="dim must be a non-negative integer, got True"):
+        wasserstein(SINGLE, DOUBLE, True)
+
+
+def test_cached_matching_gives_equal_diagrams_one_value():
+    # int and float births are equal keys to the cache, so the gaps it
+    # hands back are floats whichever diagram filled it
+    ints = diagram([(1, 0, math.inf)]), diagram([(1, 2, math.inf)])
+    floats = diagram([(1, 0.0, math.inf)]), diagram([(1, 2.0, math.inf)])
+    summaries._matching.cache_clear()
+    assert repr(bottleneck(*ints, 1)) == repr(bottleneck(*floats, 1)) == "2.0"
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.one_of(quantized_diagrams(), small_diagrams()),
+    st.one_of(quantized_diagrams(), small_diagrams()),
+    st.one_of(quantized_diagrams(), small_diagrams()),
+)
+def test_cached_matching_does_not_leak_into_the_next_pair(a, b, c):
+    bottleneck(a, b, 1)
+    after = bottleneck(a, c, 1)
+    summaries._matching.cache_clear()
+    assert repr(after) == repr(bottleneck(a, c, 1))
 
 
 @pytest.mark.parametrize(

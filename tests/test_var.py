@@ -239,7 +239,7 @@ def test_blocked_gram_matches_the_design_gram(seed, d, k, t_eff, fortran):
     x = rng.normal(loc=rng.uniform(-3.0, 3.0, size=d), size=(t_eff + k, d))
     if fortran:
         x = np.asfortranarray(x)
-    m = dirtda.var._lag_design(x, k, k, response=True)
+    m = dirtda.var._lag_design(x, k, response=True)
     expected = m.T @ m
     got = dirtda.var._lagged_gram(x, k)
     assert got.shape == expected.shape
