@@ -77,11 +77,29 @@ class Filtration:
 class PersistenceDiagram:
     """Persistence pairs (dim, birth, death); death may be math.inf.
 
-    Pairs are sorted by (dim, birth, death) and contain no zero-persistence
-    entries.
+    Each pair is checked when the diagram is built: its dim is a
+    non-negative int (not a bool), its birth is finite, its death is not
+    NaN and lies at or above its birth; ValueError names the first pair
+    that fails by its index. The pairs are stored sorted by (dim, birth,
+    death). persistence() yields no zero-persistence pairs, but a diagram
+    may hold them.
     """
 
     pairs: tuple[tuple[int, float, float], ...]
+
+    def __post_init__(self) -> None:
+        for i, (dim, birth, death) in enumerate(self.pairs):
+            if not _is_dim(dim):
+                raise ValueError(
+                    f"diagram pair {i}: dim must be a non-negative integer, got {dim!r}"
+                )
+            if not math.isfinite(birth):
+                raise ValueError(f"diagram pair {i}: birth must be finite, got {birth}")
+            if math.isnan(death):
+                raise ValueError(f"diagram pair {i}: death must not be NaN")
+            if death < birth:
+                raise ValueError(f"diagram pair {i}: death {death} is below birth {birth}")
+        object.__setattr__(self, "pairs", tuple(sorted(map(tuple, self.pairs))))
 
     def in_dim(self, dim: int) -> tuple[tuple[float, float], ...]:
         """(birth, death) of the pairs in dimension dim, a non-negative int;
@@ -243,7 +261,6 @@ def persistence(filtration: Filtration) -> PersistenceDiagram:
         out += [(k, birth, math.inf) for birth in values[k][essential].tolist()]
         cleared = np.zeros(len(values[k + 1]), dtype=bool)
         cleared[deaths] = True
-    out.sort(key=lambda p: (p[0], p[1], p[2]))
     return PersistenceDiagram(tuple(out))
 
 
@@ -265,29 +282,14 @@ def diagram_to_dict(diagram: PersistenceDiagram) -> dict[str, Any]:
 
 
 def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
-    """Inverse of diagram_to_dict.
-
-    Raises ValueError naming the pair's index when its dim is not a
-    non-negative integer, its birth is not finite, its death is NaN or its
-    death lies below its birth.
-    """
-    pairs = []
-    for i, item in enumerate(doc["pairs"]):
-        dim = item["dim"]
-        if not _is_dim(dim):
-            raise ValueError(f"diagram pair {i}: dim must be a non-negative integer, got {dim!r}")
-        birth = float(item["birth"])
-        if not math.isfinite(birth):
-            raise ValueError(f"diagram pair {i}: birth must be finite, got {birth}")
-        death = item["death"]
-        death = math.inf if death == "inf" else float(death)
-        if math.isnan(death):
-            raise ValueError(f"diagram pair {i}: death must not be NaN")
-        if death < birth:
-            raise ValueError(f"diagram pair {i}: death {death} is below birth {birth}")
-        pairs.append((dim, birth, death))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-    return PersistenceDiagram(tuple(pairs))
+    """Inverse of diagram_to_dict: "inf" becomes math.inf, and every birth
+    and death a float; PersistenceDiagram checks the pairs."""
+    return PersistenceDiagram(
+        tuple(
+            (p["dim"], float(p["birth"]), math.inf if p["death"] == "inf" else float(p["death"]))
+            for p in doc["pairs"]
+        )
+    )
 
 
 def save_diagram(diagram: PersistenceDiagram, path: str) -> None:

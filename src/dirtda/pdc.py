@@ -29,7 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrequencyBand:
-    """A named frequency interval in Hz, 0 <= low_hz < high_hz."""
+    """A named frequency interval in Hz, 0 <= low_hz < high_hz, both numbers
+    (not bools)."""
 
     name: str
     low_hz: float
@@ -38,7 +39,9 @@ class FrequencyBand:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("band name must be non-empty")
-        if not (0 <= self.low_hz < self.high_hz):
+        edges = (self.low_hz, self.high_hz)
+        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in edges)
+        if not (numbers and 0 <= self.low_hz < self.high_hz):
             raise ValueError(
                 f"band {self.name!r} needs 0 <= low < high, got [{self.low_hz}, {self.high_hz}]"
             )

@@ -61,91 +61,74 @@ __all__ = ["PipelineConfig", "AnalysisReport", "run_pipeline", "diagram_distance
 REPORT_NAME = "report.json"
 
 
+# window name of a config whose windows are empty: one window spanning the
+# whole recording
+FULL_WINDOW = "full"
+_CRITERIA = tuple(c.value for c in OrderCriterion)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _integer(value: Any) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _is_window(value: Any) -> bool:
+    """(name, start, end): a string and two numbers."""
+    return (
+        isinstance(value, tuple)
+        and len(value) == 3
+        and isinstance(value[0], str)
+        and all(map(_is_number, value[1:]))
+    )
 
 
-def _number(value: Any) -> float:
-    if not _is_number(value):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+def _int_from(low: int) -> tuple[str, Callable[[Any], bool]]:
+    return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
 
 
-def _path(value: Any) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a path string, got {value!r}")
-    return value
-
-
-def _criterion(value: Any) -> str:
-    return OrderCriterion(value).value
-
-
-def _span(value: Any) -> tuple[float, float]:
-    """[start, end] as exactly two JSON numbers."""
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(map(_is_number, value))
-    ):
-        raise ValueError(f"expected [start, end], two numbers, got {value!r}")
-    return float(value[0]), float(value[1])
-
-
-def _named_spans(value: Any) -> tuple[tuple[str, float, float], ...]:
-    """{name: [start, end]} as (name, start, end), sorted by name."""
-    if not isinstance(value, dict):
-        raise ValueError(f"expected {{name: [start, end]}}, got {value!r}")
-    return tuple((str(name), *_span(span)) for name, span in sorted(value.items()))
-
-
-def _boolean(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
-# every key of the flat JSON config -> (PipelineConfig field, parser of its
-# value); anything else is rejected as a typo, and an absent key leaves the
-# field's default
-_CONFIG_FIELDS: dict[str, tuple[str, Callable[[Any], Any]]] = {
-    "input": ("input_path", _path),
-    "fs_hz": ("sampling_rate_hz", _number),
-    "out_dir": ("out_dir", _path),
-    "windows": ("windows", _named_spans),
-    "bands": ("bands", lambda v: tuple(FrequencyBand(*span) for span in _named_spans(v))),
-    "order": ("order", _integer),
-    "select_k_max": ("select_k_max", lambda v: None if v is None else _integer(v)),
-    "criterion": ("criterion", _criterion),
-    "n_grid": ("n_grid", _integer),
-    "max_dim": ("max_dim", _integer),
-    "standardize": ("standardize", _boolean),
-    "landscape_k_max": ("landscape_k_max", _integer),
-    "landscape_n_grid": ("landscape_n_grid", _integer),
-    "wasserstein_q": ("wasserstein_q", _number),
+# every key of the flat JSON config -> (PipelineConfig field, what its value
+# must be, test of the value); anything else is rejected as a typo, and an
+# absent key leaves the field's default. A config that would fail every
+# cell, or stop a run after its first writes, fails when it is built
+_CONFIG_FIELDS: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
+    "input": ("input_path", "a path string", lambda v: isinstance(v, str)),
+    "fs_hz": ("sampling_rate_hz", "finite and > 0",
+              lambda v: _is_number(v) and math.isfinite(v) and v > 0),
+    "out_dir": ("out_dir", "a path string", lambda v: isinstance(v, str)),
+    "windows": ("windows", "(name, start, end) tuples of a string and two numbers",
+                lambda v: isinstance(v, tuple) and all(map(_is_window, v))),
+    "bands": ("bands", "a tuple of FrequencyBand",
+              lambda v: isinstance(v, tuple) and all(isinstance(b, FrequencyBand) for b in v)),
+    "order": ("order", *_int_from(1)),
+    "select_k_max": ("select_k_max", "null or an integer >= 1",
+                     lambda v: v is None or (_is_int(v) and v >= 1)),
+    "criterion": ("criterion", " or ".join(map(repr, _CRITERIA)), lambda v: v in _CRITERIA),
+    "n_grid": ("n_grid", *_int_from(1)),
+    "max_dim": ("max_dim", "1 or 2", lambda v: _is_int(v) and v in (1, 2)),
+    "standardize": ("standardize", "true or false", lambda v: isinstance(v, bool)),
+    "landscape_k_max": ("landscape_k_max", *_int_from(1)),
+    "landscape_n_grid": ("landscape_n_grid", *_int_from(2)),
+    "wasserstein_q": ("wasserstein_q", "finite and >= 1",
+                      lambda v: _is_number(v) and math.isfinite(v) and v >= 1),
 }
 CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
 _REQUIRED_KEYS = ("input", "fs_hz", "out_dir")
 
-# range-checked field, named as its config key -> (bound, test): a config
-# that would fail every cell, or stop a run after its first writes, fails
-# when it is built, before any write; _CONFIG_FIELDS names the field
-_BOUNDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "fs_hz": ("finite and > 0", lambda v: math.isfinite(v) and v > 0),
-    "order": (">= 1", lambda v: v >= 1),
-    "select_k_max": (">= 1", lambda v: v is None or v >= 1),
-    "n_grid": (">= 1", lambda v: v >= 1),
-    "max_dim": ("1 or 2", lambda v: v in (1, 2)),
-    "landscape_k_max": (">= 1", lambda v: v >= 1),
-    "landscape_n_grid": (">= 2", lambda v: v >= 2),
-    "wasserstein_q": ("finite and >= 1", lambda v: math.isfinite(v) and v >= 1),
-}
+
+def _named_spans(key: str, value: Any) -> tuple[tuple[Any, ...], ...]:
+    """{name: [start, end]} as (name, start, end), sorted by name; numbers
+    become floats, and any other value is left for the config to refuse."""
+    if not isinstance(value, dict) or not all(
+        isinstance(span, (list, tuple)) and len(span) == 2 for span in value.values()
+    ):
+        raise ValueError(f"config key {key!r}: must be {{name: [start, end]}}, got {value!r}")
+    return tuple(
+        (name, *(float(x) if _is_number(x) else x for x in span))
+        for name, span in sorted(value.items())
+    )
 
 
 @dataclass(frozen=True)
@@ -153,9 +136,15 @@ class PipelineConfig:
     """Everything one analysis run needs, mirroring the flat JSON config.
 
     windows maps window name to (start_sec, end_sec); an empty mapping means
-    one window spanning the whole recording. order is the fixed VAR order;
-    when select_k_max is set instead, the order is chosen per window by the
-    given criterion.
+    one window, named FULL_WINDOW, spanning the whole recording. order is
+    the fixed VAR order; when select_k_max is set instead, the order is
+    chosen per window by the given criterion.
+
+    Every field's type and range is checked when the config is built, then
+    its names: window names and band names must each be distinct, and no
+    two cells may write the same file. A failing check raises ValueError
+    naming the config key, before any file is written. sampling_rate_hz and
+    wasserstein_q are stored as floats.
     """
 
     input_path: str
@@ -174,33 +163,38 @@ class PipelineConfig:
     wasserstein_q: float = 1.0
 
     def __post_init__(self) -> None:
-        for key, (bound, ok) in _BOUNDS.items():
-            value = getattr(self, _CONFIG_FIELDS[key][0])
+        for key, (name, must_be, ok) in _CONFIG_FIELDS.items():
+            value = getattr(self, name)
             if not ok(value):
-                raise ValueError(f"config key {key!r}: must be {bound}, got {value!r}")
+                raise ValueError(f"config key {key!r}: must be {must_be}, got {value!r}")
+        object.__setattr__(self, "sampling_rate_hz", float(self.sampling_rate_hz))
+        object.__setattr__(self, "wasserstein_q", float(self.wasserstein_q))
+        window_names = [name for name, _, _ in self.windows] or [FULL_WINDOW]
+        _check_artifact_names(window_names, [band.name for band in self.bands])
 
     @staticmethod
     def from_dict(doc: dict[str, Any]) -> "PipelineConfig":
         """Config from its flat JSON form; an unknown or missing required
-        key, or a value that does not parse or is out of range, raises
-        ValueError naming it."""
+        key, or a value the config refuses, raises ValueError naming it."""
         unknown = sorted(set(doc) - CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        fields = {}
-        for key, (name, parse) in _CONFIG_FIELDS.items():
+        for key in _REQUIRED_KEYS:
             if key not in doc:
-                if key in _REQUIRED_KEYS:
-                    raise ValueError(f"config key {key!r}: required but missing")
-                continue
+                raise ValueError(f"config key {key!r}: required but missing")
+        fields = {_CONFIG_FIELDS[key][0]: value for key, value in doc.items()}
+        if "windows" in doc:
+            fields["windows"] = _named_spans("windows", doc["windows"])
+        if "bands" in doc:
+            spans = _named_spans("bands", doc["bands"])
             try:
-                fields[name] = parse(doc[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+                fields["bands"] = tuple(FrequencyBand(*span) for span in spans)
+            except ValueError as exc:
+                raise ValueError(f"config key 'bands': {exc}") from None
         return PipelineConfig(**fields)
 
     def to_dict(self) -> dict[str, Any]:
-        doc = {key: getattr(self, name) for key, (name, _) in _CONFIG_FIELDS.items()}
+        doc = {key: getattr(self, name) for key, (name, _, _) in _CONFIG_FIELDS.items()}
         doc["windows"] = {name: [lo, hi] for name, lo, hi in self.windows}
         doc["bands"] = {b.name: [b.low_hz, b.high_hz] for b in self.bands}
         return doc
@@ -237,9 +231,11 @@ def _slug(name: str) -> str:
 def _check_artifact_names(window_names: list[str], band_names: list[str]) -> None:
     """Raise if two windows, or two (window, band) cells, share a file name.
 
-    _slug is not one-to-one ("a b" and "a-b" both give "a-b"), and a cell
-    joins two slugs with "_" ("a_b" + "c" and "a" + "b_c" both give
-    "a_b_c"), so without this check one cell's files overwrite another's.
+    A repeated window or band name repeats a file name, so this refuses
+    those too. _slug is not one-to-one ("a b" and "a-b" both give "a-b"),
+    and a cell joins two slugs with "_" ("a_b" + "c" and "a" + "b_c" both
+    give "a_b_c"), so without this check one cell's files overwrite
+    another's.
     """
     named = [(f"model_{_slug(w)}.json", f"window {w!r}") for w in window_names]
     named += [
@@ -249,9 +245,9 @@ def _check_artifact_names(window_names: list[str], band_names: list[str]) -> Non
     ]
     claimed: dict[str, str] = {}
     for path, name in named:
-        other = claimed.setdefault(path, name)
-        if other != name:
-            raise ValueError(f"{other} and {name} would both write {path}")
+        if path in claimed:
+            raise ValueError(f"{claimed[path]} and {name} would both write {path}")
+        claimed[path] = name
 
 
 def _cell(
@@ -314,23 +310,15 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     Returns the report, which is also written as report.json. Per-cell
     failures, and per window pair failures of the distance phase (with
     window "a|b"), are collected in report.failures rather than raised.
-    Names whose artifacts would share a file are rejected before any file
-    is written. Files that a report.json already in out_dir lists, and that
-    this run does not write, are removed before the new report is written,
-    so out_dir never holds results of an earlier config that look current.
+    Files that a report.json already in out_dir lists, and that this run
+    does not write, are removed before the new report is written, so
+    out_dir never holds results of an earlier config that look current.
     """
     report = AnalysisReport(config)
     previous = _listed_artifacts(config.out_dir)
     series = load_series(config.input_path, config.sampling_rate_hz)
 
-    windows = config.windows or (("full", 0.0, series.duration_sec),)
-    window_names = [name for name, _, _ in windows]
-    if len(set(window_names)) != len(window_names):
-        raise ValueError("window names must be distinct")
-    band_names = [band.name for band in config.bands]
-    if len(set(band_names)) != len(band_names):
-        raise ValueError("band names must be distinct")
-    _check_artifact_names(window_names, band_names)
+    windows = config.windows or ((FULL_WINDOW, 0.0, series.duration_sec),)
     os.makedirs(config.out_dir, exist_ok=True)
     dims = range(config.max_dim + 1)
 

@@ -319,6 +319,24 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     return max(float(ordered[lo]), inf_part)
 
 
+def _power_scale(radii: np.ndarray, gaps: tuple[float, ...], q: float) -> float | None:
+    """What wasserstein divides the radii and gaps by before raising them
+    to q, or None to raise them as they are.
+
+    None when every positive finite one raised to q lies in (2^-1000,
+    2^1000): no power then overflows or underflows, and no sum of fewer
+    than 2^23 of them overflows. Otherwise the largest of them, so that
+    the largest power is 1 and none overflows.
+    """
+    values = radii[(radii > 0) & np.isfinite(radii)].tolist() + [g for g in gaps if g > 0]
+    if not values:
+        return None
+    lo, hi = min(values), max(values)
+    if -1000 < q * math.log2(lo) and q * math.log2(hi) < 1000:
+        return None
+    return hi
+
+
 def wasserstein(
     a: PersistenceDiagram, b: PersistenceDiagram, dim: int, q: float = 1.0
 ) -> float:
@@ -329,23 +347,40 @@ def wasserstein(
     solver finds the cheapest matching; the returned distance is the q-th
     root of its cost. Infinite points follow the same convention as the
     bottleneck distance. q must be finite and at least 1.
+
+    Where a power would leave the float range (_power_scale), the radii
+    are divided by the largest radius or gap before the power, and the
+    distance is the q-norm of the matched radii and the gaps, computed as
+    their largest times the norm of them divided by it. A q so large that
+    every matched cost underflows to 0, though a matched radius is
+    positive, leaves the matching undetermined and raises ValueError.
     """
     if not (math.isfinite(q) and q >= 1):
         raise ValueError(f"q must be finite and >= 1, got {q}")
     matching = _matching(a, b, dim)
     if matching is None:
         return math.inf
-    cost, _, gaps = matching
-    if q != 1:
-        # on a copy, as the cached radii are read-only; Python's float
-        # power, not numpy's, which can differ in the last bit; 0 and inf
-        # are their own powers
-        cost = cost.copy()
-        powered = (cost > 0) & np.isfinite(cost)
-        cost[powered] = [r ** q for r in cost[powered].tolist()]
+    radii, _, gaps = matching
+    if q == 1:
+        rows, cols = _assign(radii)
+        return float(radii[rows, cols].sum()) + sum(gaps)
+    scale = _power_scale(radii, gaps, q)
+    # a new array, as the cached radii are read-only; Python's float power,
+    # not numpy's, which can differ in the last bit; 0 and inf are their
+    # own powers
+    cost = radii / (scale or 1.0)
+    powered = (cost > 0) & np.isfinite(cost)
+    cost[powered] = [r ** q for r in cost[powered].tolist()]
     rows, cols = _assign(cost)
-    total = float(cost[rows, cols].sum()) + sum(g ** q for g in gaps)
-    return float(total ** (1.0 / q))
+    if scale is None:
+        total = float(cost[rows, cols].sum()) + sum(g ** q for g in gaps)
+        return float(total ** (1.0 / q))
+    matched = radii[rows, cols]
+    if matched.any() and not cost[rows, cols].any():
+        raise ValueError(f"q = {q} is too large: every matched cost underflows to 0")
+    terms = [*matched.tolist(), *gaps]
+    top = max(terms)
+    return top * sum((t / top) ** q for t in terms) ** (1.0 / q) if top > 0 else 0.0
 
 
 def landscape_to_dict(ls: PersistenceLandscape) -> dict[str, Any]:

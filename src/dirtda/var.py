@@ -114,22 +114,6 @@ def _check_condition(sv: np.ndarray) -> None:
         )
 
 
-def _ols(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """OLS fit of a VAR(k) using responses from row k on.
-
-    Returns (coeffs, residuals). Residual covariance is left to the caller.
-    """
-    d = x.shape[1]
-    y, design = x[k:], _lag_design(x, k)
-    beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
-    # the solver's singular values give the 2-norm condition number for free
-    _check_condition(sv)
-    resid = y - design @ beta
-    # drop the intercept row; reshape the rest into (k, d, d)
-    coeffs = np.stack([beta[1 + lag * d : 1 + (lag + 1) * d].T for lag in range(k)])
-    return coeffs, resid
-
-
 def fit_var(series: MultivariateSeries, k: int) -> VarModel:
     """Fit a VAR(k) by per-equation least squares.
 
@@ -153,7 +137,13 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
         raise ValueError(
             f"need T > d*k + k observations to fit VAR({k}) on {d} channels, got T={t}"
         )
-    coeffs, resid = _ols(x, k)
+    y, design = x[k:], _lag_design(x, k)
+    beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
+    # the solver's singular values give the 2-norm condition number for free
+    _check_condition(sv)
+    resid = y - design @ beta
+    # drop the intercept row; reshape the rest into (k, d, d)
+    coeffs = np.stack([beta[1 + lag * d : 1 + (lag + 1) * d].T for lag in range(k)])
     sigma = resid.T @ resid / (t - k)
     sigma = 0.5 * (sigma + sigma.T)
     return VarModel(coeffs, sigma)

@@ -195,6 +195,8 @@ class TestMalformedConfig:
             ("windows", {"w": [1]}),
             ("windows", {"w": [0, 1, 2]}),
             ("bands", {"a": 5}),
+            ("bands", {"a": [True, 2]}),
+            ("bands", {"a": ["x", 2]}),
             ("fs_hz", None),
             ("order", "x"),
             ("standardize", "false"),
@@ -217,6 +219,7 @@ class TestMalformedConfig:
             ("wasserstein_q", float("nan")),
         ],
         ids=["windows-list", "span-one-number", "span-three-numbers", "band-number",
+             "band-edge-bool", "band-edge-text",
              "fs_hz-null", "order-text", "standardize-text", "order-float",
              "n_grid-float", "max_dim-float", "select_k_max-float", "fs_hz-bool",
              "input-null", "criterion-unknown", "order-0", "n_grid-0",
@@ -290,6 +293,16 @@ class TestArgErrors:
         assert run("compare", "--a", dia, "--b", dia, "--dim", "1", "--q", q) == 1
         captured = capsys.readouterr()
         assert f"q must be finite and >= 1, got {q}" in captured.err
+        assert captured.out == ""
+
+    def test_compare_refuses_q_underflowing_every_matched_cost(self, tmp_path, capsys):
+        # 8.0 ** 1000 used to overflow, and compare ended on a traceback
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_diagram(PersistenceDiagram(((1, 0.0, 10.0), (1, 1.0, 2.0))), str(a))
+        save_diagram(PersistenceDiagram(((1, 0.0, 10.0), (1, 1.0, 2.001))), str(b))
+        assert run("compare", "--a", a, "--b", b, "--dim", "1", "--q", "1000") == 1
+        captured = capsys.readouterr()
+        assert "q = 1000.0 is too large" in captured.err
         assert captured.out == ""
 
     def test_compare_refuses_death_below_birth(self, tmp_path, capsys):

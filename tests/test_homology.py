@@ -317,6 +317,27 @@ class TestSerialization:
         doc = {"pairs": [{"dim": 2, "birth": 0.5, "death": 0.5}]}
         assert diagram_from_dict(doc).pairs == ((2, 0.5, 0.5),)
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((1, 0.4, 0.1), "death 0.1 is below birth 0.4"),
+            ((1, math.nan, 0.3), "birth must be finite, got nan"),
+            ((1, 0.1, math.nan), "death must not be NaN"),
+            ((True, 0.1, 0.3), "dim must be a non-negative integer, got True"),
+            ((-1, 0.1, 0.3), "dim must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_invalid_pair_rejected_when_built(self, pair, message):
+        # a diagram built in Python used to take these: (1, 0.4, 0.1) gave a
+        # negative Wasserstein distance and a NaN birth a NaN bottleneck
+        with pytest.raises(ValueError, match=f"^diagram pair 1: {message}"):
+            PersistenceDiagram(((0, 0.0, math.inf), pair))
+
+    def test_pairs_stored_sorted(self):
+        dia = PersistenceDiagram([[1, 0.5, 2.0], (0, 0.0, math.inf), (1, 0.2, 1.5), (0, 0.0, 1.0)])
+        assert dia.pairs == ((0, 0.0, 1.0), (0, 0.0, math.inf), (1, 0.2, 1.5), (1, 0.5, 2.0))
+        assert dia == PersistenceDiagram(dia.pairs[::-1])
+
 
 class TestInDim:
     DIAGRAM = PersistenceDiagram(((0, 0.0, math.inf), (1, 0.2, 0.5)))

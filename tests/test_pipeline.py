@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -33,6 +34,7 @@ from dirtda.jsonio import read_json
 from dirtda.pdc import network_from_dict
 from dirtda.pipeline import CONFIG_KEYS
 from dirtda.summaries import landscape_from_dict
+from dirtda.var import OrderCriterion
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,56 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="config key 'fs_hz': must be finite and > 0"):
             PipelineConfig.from_dict({"input": "x.csv", "fs_hz": fs, "out_dir": "o"})
 
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [
+            ("criterion", "criterion", OrderCriterion.AIC),
+            ("criterion", "criterion", "AIC"),
+            ("standardize", "standardize", "no"),
+            ("max_dim", "max_dim", True),
+            ("order", "order", 3.5),
+            ("select_k_max", "select_k_max", 2.0),
+            ("sampling_rate_hz", "fs_hz", "1.0"),
+            ("wasserstein_q", "wasserstein_q", True),
+            ("input_path", "input", None),
+            ("windows", "windows", [("w1", 0.0, 800.0)]),
+            ("windows", "windows", (("w1", "0", 800.0),)),
+            ("bands", "bands", (("peak", 0.18, 0.28),)),
+        ],
+        ids=["criterion-enum", "criterion-upper", "standardize-text", "max_dim-bool",
+             "order-float", "select_k_max-float", "fs_hz-text", "wasserstein_q-bool",
+             "input-null", "windows-list", "window-start-text", "bands-tuples"],
+    )
+    def test_wrong_type_rejected_before_any_write(self, series_csv, tmp_path, field, key, value):
+        # a config built in Python used to take these: the enum wrote the
+        # artifacts and then failed on report.json, "no" standardized, True
+        # was written as max_dim true, and 3.5 or "AIC" failed every window
+        out = tmp_path / "out"
+        message = f"config key '{key}': must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(config(series_csv, str(out), **{field: value}))
+        assert not out.exists()
+
+    def test_duplicate_band_names_rejected_when_built(self, series_csv):
+        # without windows, the one window is named "full"
+        bands = (FrequencyBand("b", 0.1, 0.2), FrequencyBand("b", 0.2, 0.3))
+        message = r"cell \('full', 'b'\) and cell \('full', 'b'\) would both write diagram_full_b.json"
+        with pytest.raises(ValueError, match=message):
+            config(series_csv, "out", windows=(), bands=bands)
+
+    def test_numbers_become_floats(self):
+        cfg = PipelineConfig.from_dict({
+            "input": "x.csv", "fs_hz": 100, "out_dir": "o", "wasserstein_q": 2,
+            "windows": {"b": [1, 2], "a": [0, 1]}, "bands": {"x": [1, 2]},
+        })
+        assert cfg.windows == (("a", 0.0, 1.0), ("b", 1.0, 2.0))
+        assert cfg.bands == (FrequencyBand("x", 1.0, 2.0),)
+        doc = cfg.to_dict()
+        assert [doc["fs_hz"], doc["wasserstein_q"], *doc["windows"]["a"], *doc["bands"]["x"]] == [
+            100.0, 2.0, 0.0, 1.0, 1.0, 2.0
+        ]
+        assert all(type(v) is float for v in (doc["fs_hz"], doc["wasserstein_q"], *doc["bands"]["x"]))
+
     def test_defaults_from_minimal_doc(self):
         cfg = PipelineConfig.from_dict(
             {"input": "x.csv", "fs_hz": 100.0, "out_dir": "o"}
@@ -198,9 +250,9 @@ class TestRunPipeline:
         assert from_report.pairs == manual.pairs
 
     def test_duplicate_window_names_rejected(self, series_csv, tmp_path):
-        cfg = config(series_csv, str(tmp_path / "out"),
-                     windows=(("w", 0.0, 400.0), ("w", 400.0, 800.0)))
         with pytest.raises(ValueError):
+            cfg = config(series_csv, str(tmp_path / "out"),
+                         windows=(("w", 0.0, 400.0), ("w", 400.0, 800.0)))
             run_pipeline(cfg)
 
     def test_all_cells_failing_reported(self, series_csv, tmp_path):

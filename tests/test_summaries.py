@@ -530,6 +530,29 @@ class TestWasserstein:
         a = diagram([(1, 0.0, math.inf), (1, 1.0, math.inf)])
         assert wasserstein(a, a, 1, q) == 0.0
 
+    @pytest.mark.parametrize("q", [200.0, 400.0])
+    def test_large_q_matches_the_bottleneck_pair(self, q):
+        # 0.0047 ** 200 underflows, and the distance used to read 0.0
+        a, b = diagram([(1, 0.0, 0.01)]), diagram([(1, 0.0, 0.0147)])
+        assert wasserstein(a, b, 1, q) == pytest.approx(bottleneck(a, b, 1), rel=1e-12)
+
+    def test_large_q_does_not_overflow(self):
+        # 4.5 ** 1000 used to raise OverflowError
+        a, b = diagram([(0, 0.0, 5.0)]), diagram([(0, 0.0, 9.0)])
+        assert wasserstein(a, b, 0, 1000.0) == 4.0
+
+    def test_tiny_essential_gap_not_lost(self):
+        a = diagram([(1, 0.0, 0.5), (1, 1e-200, math.inf)])
+        b = diagram([(1, 0.0, 0.5), (1, 0.0, math.inf)])
+        # (1e-200) ** 2 underflows, and the distance used to read 0.0
+        assert wasserstein(a, b, 1, 2.0) == pytest.approx(1e-200, rel=1e-12, abs=0)
+
+    def test_q_underflowing_every_matched_cost_rejected(self):
+        a = diagram([(1, 0.0, 10.0), (1, 1.0, 2.0)])
+        b = diagram([(1, 0.0, 10.0), (1, 1.0, 2.001)])
+        with pytest.raises(ValueError, match="q = 1000.0 is too large"):
+            wasserstein(a, b, 1, 1000.0)
+
     def test_essential_births_paired_in_order(self):
         a = diagram([(1, 1.0, math.inf), (1, 0.0, math.inf)])
         b = diagram([(1, 0.5, math.inf), (1, 2.5, math.inf)])
