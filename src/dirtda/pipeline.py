@@ -76,12 +76,17 @@ def _is_number(value: Any) -> bool:
 
 
 def _is_window(value: Any) -> bool:
-    """(name, start, end): a string and two numbers."""
+    """(name, start, end): a string and two finite numbers, 0 <= start < end.
+
+    Whether end lies within the recording is known only from the input
+    file, so segment checks that.
+    """
     return (
         isinstance(value, tuple)
         and len(value) == 3
         and isinstance(value[0], str)
-        and all(map(_is_number, value[1:]))
+        and all(_is_number(x) and math.isfinite(x) for x in value[1:])
+        and 0 <= value[1] < value[2]
     )
 
 
@@ -98,7 +103,8 @@ _CONFIG_FIELDS: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
     "fs_hz": ("sampling_rate_hz", "finite and > 0",
               lambda v: _is_number(v) and math.isfinite(v) and v > 0),
     "out_dir": ("out_dir", "a path string", lambda v: isinstance(v, str)),
-    "windows": ("windows", "(name, start, end) tuples of a string and two numbers",
+    "windows": ("windows", "(name, start, end) tuples of a string and two finite "
+                "numbers with 0 <= start < end",
                 lambda v: isinstance(v, tuple) and all(map(_is_window, v))),
     "bands": ("bands", "a tuple of FrequencyBand",
               lambda v: isinstance(v, tuple) and all(isinstance(b, FrequencyBand) for b in v)),

@@ -2,10 +2,11 @@
 
 SVG is written directly, with fixed canvas geometry and fixed-precision
 coordinates, so repeated runs on identical inputs produce byte-identical
-files. A landscape level's polyline holds only its breakpoints: the first
-and last grid points and every point where the level changes value. The
-points it leaves out lie on the horizontal segment between their kept
-neighbours, so the drawn image is the same as with every grid point.
+files. A landscape level is piecewise linear, so its polyline holds only
+its corners: the first and last grid points and every grid point where
+the level bends. The points it leaves out lie on the segment between
+their kept neighbours, so the drawn image is the same as with every grid
+point.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ _PLOT_W = _W - _L - _R
 _PLOT_H = _H - _T - _B
 
 _DIM_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
+
+# a landscape grid point is a corner when the second difference of its
+# unrounded pixel y exceeds this many pixels; float rounding on a straight
+# stretch stays far below it, and a point left out lies within about this
+# of the drawn segment
+_BEND_PX = 1e-9
 
 
 def _f(x: float) -> str:
@@ -157,9 +164,11 @@ def plot_landscape(ls: PersistenceLandscape, path: str, title: str | None = None
     """Polyline per landscape level on the landscape's own grid.
 
     Each polyline keeps a level's first and last grid points and every
-    point whose value differs from a neighbour's; the interior points of a
-    run of equal values are dropped, since they lie on the segment between
-    the run's ends.
+    interior point where the level bends: where the second difference of
+    its pixel y, before rounding, exceeds _BEND_PX. The grid is evenly
+    spaced, so the points dropped lie on the segment between their kept
+    neighbours; flat runs and the slopes of each tent are drawn by their
+    ends alone.
     """
     if title is None:
         title = f"persistence landscape (dim {ls.dim})"
@@ -171,12 +180,12 @@ def plot_landscape(ls: PersistenceLandscape, path: str, title: str | None = None
 
     parts = _header(title)
     parts += _axes("t", "level value", vmax_x, vmax_y)
-    for k, v in enumerate(ls.levels):
+    for k, y in enumerate(ys):
         color = _DIM_COLORS[k % len(_DIM_COLORS)]
-        keep = np.ones(v.size, dtype=bool)
-        keep[1:-1] = (v[1:-1] != v[:-2]) | (v[1:-1] != v[2:])
+        keep = np.ones(y.size, dtype=bool)
+        keep[1:-1] = np.abs(y[2:] - 2 * y[1:-1] + y[:-2]) > _BEND_PX
         pts = " ".join(
-            f"{_f(x)},{_f(y)}" for x, y in zip(xs[keep].tolist(), ys[k][keep].tolist())
+            f"{_f(px)},{_f(py)}" for px, py in zip(xs[keep].tolist(), y[keep].tolist())
         )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

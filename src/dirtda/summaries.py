@@ -337,6 +337,19 @@ def _power_scale(radii: np.ndarray, gaps: tuple[float, ...], q: float) -> float 
     return hi
 
 
+def _powered(radii: np.ndarray, scale: float | None, q: float) -> np.ndarray:
+    """radii divided by scale, unless it is None, and raised to q.
+
+    A new array, as the cached radii are read-only. Python's float power,
+    not numpy's, which can differ in the last bit; 0 and inf are their own
+    powers.
+    """
+    cost = radii / (scale or 1.0)
+    powered = (cost > 0) & np.isfinite(cost)
+    cost[powered] = [r ** q for r in cost[powered].tolist()]
+    return cost
+
+
 def wasserstein(
     a: PersistenceDiagram, b: PersistenceDiagram, dim: int, q: float = 1.0
 ) -> float:
@@ -351,9 +364,14 @@ def wasserstein(
     Where a power would leave the float range (_power_scale), the radii
     are divided by the largest radius or gap before the power, and the
     distance is the q-norm of the matched radii and the gaps, computed as
-    their largest times the norm of them divided by it. A q so large that
-    every matched cost underflows to 0, though a matched radius is
-    positive, leaves the matching undetermined and raises ValueError.
+    their largest times the norm of them divided by it. When every matched
+    cost then underflows to 0, though a matched radius is positive, the
+    matching is arbitrary; an optimal one costs no more, so it uses no
+    edge longer than n^(1/q) times the longest of the n matched radii.
+    The solver runs again on those edges alone, divided by the longest of
+    them, until a matched cost is positive or every matched radius is 0.
+    The bound falls below the longest usable edge on each pass, so this
+    ends.
     """
     if not (math.isfinite(q) and q >= 1):
         raise ValueError(f"q must be finite and >= 1, got {q}")
@@ -365,19 +383,19 @@ def wasserstein(
         rows, cols = _assign(radii)
         return float(radii[rows, cols].sum()) + sum(gaps)
     scale = _power_scale(radii, gaps, q)
-    # a new array, as the cached radii are read-only; Python's float power,
-    # not numpy's, which can differ in the last bit; 0 and inf are their
-    # own powers
-    cost = radii / (scale or 1.0)
-    powered = (cost > 0) & np.isfinite(cost)
-    cost[powered] = [r ** q for r in cost[powered].tolist()]
+    cost = _powered(radii, scale, q)
     rows, cols = _assign(cost)
     if scale is None:
         total = float(cost[rows, cols].sum()) + sum(g ** q for g in gaps)
         return float(total ** (1.0 / q))
     matched = radii[rows, cols]
-    if matched.any() and not cost[rows, cols].any():
-        raise ValueError(f"q = {q} is too large: every matched cost underflows to 0")
+    while matched.any() and not cost[rows, cols].any():
+        bound = len(matched) ** (1.0 / q) * float(matched.max())
+        usable = np.where(radii <= bound, radii, np.inf)
+        scale = float(radii[radii <= bound].max())
+        cost = _powered(usable, scale, q)
+        rows, cols = _assign(cost)
+        matched = radii[rows, cols]
     terms = [*matched.tolist(), *gaps]
     top = max(terms)
     return top * sum((t / top) ** q for t in terms) ** (1.0 / q) if top > 0 else 0.0

@@ -168,6 +168,13 @@ class TestRunCommand:
         assert "config key 'fs_hz': must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_inverted_window_exit_one_before_any_write(self, workdir, config_path, capsys):
+        out = workdir / "run_inverted"
+        assert run("run", "--config", config_path, "--out-dir", out,
+                   "--window", "w:900:100") == 1
+        assert "config key 'windows': must be " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_override(self, workdir, config_path):
         out = workdir / "run_override"
         assert run("run", "--config", config_path, "--out-dir", out,
@@ -295,15 +302,17 @@ class TestArgErrors:
         assert f"q must be finite and >= 1, got {q}" in captured.err
         assert captured.out == ""
 
-    def test_compare_refuses_q_underflowing_every_matched_cost(self, tmp_path, capsys):
-        # 8.0 ** 1000 used to overflow, and compare ended on a traceback
+    def test_compare_q_underflowing_every_matched_cost_prints_distance(self, tmp_path, capsys):
+        # 8.0 ** 1000 used to overflow, and compare ended on a traceback;
+        # then every matched cost underflowed, and compare refused the q
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_diagram(PersistenceDiagram(((1, 0.0, 10.0), (1, 1.0, 2.0))), str(a))
         save_diagram(PersistenceDiagram(((1, 0.0, 10.0), (1, 1.0, 2.001))), str(b))
-        assert run("compare", "--a", a, "--b", b, "--dim", "1", "--q", "1000") == 1
+        assert run("compare", "--a", a, "--b", b, "--dim", "1", "--q", "1000") == 0
         captured = capsys.readouterr()
-        assert "q = 1000.0 is too large" in captured.err
-        assert captured.out == ""
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["wasserstein"] == doc["bottleneck"] == pytest.approx(0.001, rel=1e-9)
 
     def test_compare_refuses_death_below_birth(self, tmp_path, capsys):
         bad, good = tmp_path / "bad.json", tmp_path / "good.json"

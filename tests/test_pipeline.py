@@ -148,6 +148,19 @@ class TestPipelineConfig:
             run_pipeline(config(series_csv, str(out), **{field: value}))
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [(900.0, 100.0), (100.0, 100.0), (float("nan"), 100.0), (-5.0, 100.0), (0.0, float("inf"))],
+        ids=["inverted", "empty", "nan-start", "negative-start", "infinite-end"],
+    )
+    def test_bad_window_span_rejected_before_any_write(self, series_csv, tmp_path, start, end):
+        # these used to read the whole CSV and write a report.json holding
+        # only the window's failure
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="config key 'windows': must be "):
+            run_pipeline(config(series_csv, str(out), windows=(("w", start, end),)))
+        assert not out.exists()
+
     def test_duplicate_band_names_rejected_when_built(self, series_csv):
         # without windows, the one window is named "full"
         bands = (FrequencyBand("b", 0.1, 0.2), FrequencyBand("b", 0.2, 0.3))

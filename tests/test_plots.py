@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirtda import (
@@ -90,6 +90,17 @@ class TestPlotLandscape:
         apex = int(np.argmin(ys))
         assert 0 < apex < len(ys) - 1
 
+    def test_single_tent_drawn_by_its_corners(self, tmp_path):
+        # every grid point used to be written along the two slopes: 35 points
+        dia = PersistenceDiagram(((1, 1.0, 3.0),))
+        ls = landscape(dia, dim=1, k_max=1, n_grid=65, t_max=4.0)
+        path = str(tmp_path / "tent.svg")
+        plot_landscape(ls, path, "tent")
+        lines = [e for e in svg_root(path).iter() if e.tag.endswith("polyline")]
+        assert [line.attrib["points"] for line in lines] == [
+            "64.00,468.00 173.00,468.00 282.00,75.27 391.00,468.00 500.00,468.00"
+        ]
+
     def test_byte_identical(self, tmp_path):
         dia = PersistenceDiagram(((1, 0.5, 1.5), (1, 0.2, 0.9)))
         ls = landscape(dia, dim=1, k_max=3, n_grid=64, t_max=2.0)
@@ -108,7 +119,7 @@ landscape_diagrams = st.one_of(
 
 
 def full_grid_points(ls, k):
-    """Every grid point of level k, formatted point by point."""
+    """Every grid point of level k in pixels, before rounding."""
     vmax_x = float(ls.grid[-1]) or 1e-12
     vmax_y = float(ls.levels.max()) * 1.1 if ls.levels.max() > 0 else 1e-12
 
@@ -118,7 +129,7 @@ def full_grid_points(ls, k):
     def sy(v):
         return _T + _PLOT_H - (v / vmax_y) * _PLOT_H
 
-    return [f"{_f(sx(float(t)))},{_f(sy(float(v)))}" for t, v in zip(ls.grid, ls.levels[k])]
+    return [(sx(float(t)), sy(float(v))) for t, v in zip(ls.grid, ls.levels[k])]
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,6 +138,10 @@ def full_grid_points(ls, k):
     k_max=st.integers(1, 6),
     n_grid=st.integers(2, 600),
 )
+# the apex at 1 + 1.25e-6 lies just past grid point 10: the second
+# difference at grid point 11 is only ~1e-3 px, yet leaving that point out
+# would draw the line ~9e-4 px off it
+@example(dia=PersistenceDiagram(((1, 2.5e-6, 2.0),)), k_max=1, n_grid=22)
 def test_polyline_keeps_breakpoints_of_full_grid(tmp_path_factory, dia, k_max, n_grid):
     ls = landscape(dia, 1, k_max, n_grid, shared_t_max(dia))
     path = str(tmp_path_factory.mktemp("ls") / "ls.svg")
@@ -134,16 +149,16 @@ def test_polyline_keeps_breakpoints_of_full_grid(tmp_path_factory, dia, k_max, n
     lines = [e for e in svg_root(path).iter() if e.tag.endswith("polyline")]
     assert len(lines) == k_max
     for k, line in enumerate(lines):
-        full = full_grid_points(ls, k)
+        exact = full_grid_points(ls, k)
+        full = [f"{_f(x)},{_f(y)}" for x, y in exact]
         kept = line.attrib["points"].split()
         assert kept[0] == full[0] and kept[-1] == full[-1]
         # x strings strictly increase, so the match into full is unique
         at = [full.index(p) for p in kept]
         assert at == sorted(set(at))
         for left, right in zip(at, at[1:]):
-            x0, y0 = full[left].split(",")
-            x1, y1 = full[right].split(",")
-            for dropped in full[left + 1 : right]:
-                x, y = dropped.split(",")
-                assert y == y0 == y1
-                assert float(x0) < float(x) < float(x1)
+            (x0, y0), (x1, y1) = exact[left], exact[right]
+            for x, y in exact[left + 1 : right]:
+                assert x0 < x < x1
+                # a dropped point lies on the segment between its kept neighbours
+                assert abs(y - (y0 + (y1 - y0) * (x - x0) / (x1 - x0))) <= 1e-6

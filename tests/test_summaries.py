@@ -547,11 +547,21 @@ class TestWasserstein:
         # (1e-200) ** 2 underflows, and the distance used to read 0.0
         assert wasserstein(a, b, 1, 2.0) == pytest.approx(1e-200, rel=1e-12, abs=0)
 
-    def test_q_underflowing_every_matched_cost_rejected(self):
+    def test_q_underflowing_every_matched_cost_matches_bottleneck(self):
+        # (0.001 / 5.0) ** 1000 underflows, so every matched cost is 0 and the
+        # first matching is arbitrary; this used to raise ValueError
         a = diagram([(1, 0.0, 10.0), (1, 1.0, 2.0)])
         b = diagram([(1, 0.0, 10.0), (1, 1.0, 2.001)])
-        with pytest.raises(ValueError, match="q = 1000.0 is too large"):
-            wasserstein(a, b, 1, 1000.0)
+        assert wasserstein(a, b, 1, 1000.0) == bottleneck(a, b, 1)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.5])
+    def test_q_underflowing_every_matched_cost_at_ordinary_q(self, q):
+        # (2e-237 / 0.5) ** q underflows at every q > 1, and this pair
+        # used to raise ValueError; one point is off by its birth alone
+        birth = 2.0271100714728172e-237
+        a = diagram([(1, 0.0, 1.0)] * 3)
+        b = diagram([(1, 0.0, 1.0)] * 2 + [(1, birth, 1.0)])
+        assert wasserstein(a, b, 1, q) == birth == bottleneck(a, b, 1)
 
     def test_essential_births_paired_in_order(self):
         a = diagram([(1, 1.0, math.inf), (1, 0.0, math.inf)])
