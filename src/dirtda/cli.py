@@ -7,7 +7,8 @@ The run subcommand executes everything in one shot from a flat JSON
 config; a flag overrides each config key but landscape_k_max,
 landscape_n_grid and wasserstein_q, which have none.
 
-Exit codes: 0 success, 1 hard error, 2 partial-cell failures in run.
+Exit codes: 0 success, 1 hard error (a usage error included), 2 partial-cell
+failures in run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 from .decomp import (
     asym_distance,
@@ -81,12 +82,23 @@ def _parse_window(text: str) -> tuple[str, float, float]:
     return parts[0], float(parts[1]), float(parts[2])
 
 
+def _named_doc(flag: str, spans: list[tuple[str, float, float]]) -> dict[str, list[float]]:
+    """{name: [lo, hi]} of repeated flag values; a name given twice is an error."""
+    doc: dict[str, list[float]] = {}
+    for name, lo, hi in spans:
+        if name in doc:
+            raise ValueError(f"{flag}: name {name!r} given more than once")
+        doc[name] = [lo, hi]
+    return doc
+
+
 def _windows_doc(specs: list[str]) -> dict[str, list[float]]:
-    return {name: [lo, hi] for name, lo, hi in map(_parse_window, specs)}
+    return _named_doc("--window", [_parse_window(spec) for spec in specs])
 
 
 def _bands_doc(specs: list[str]) -> dict[str, list[float]]:
-    return {band.name: [band.low_hz, band.high_hz] for band in map(_parse_band, specs)}
+    bands = map(_parse_band, specs)
+    return _named_doc("--band", [(band.name, band.low_hz, band.high_hz) for band in bands])
 
 
 # every run flag's dest is the config key it overrides; these two flags'
@@ -202,8 +214,17 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--criterion", choices=["aic", "bic"], default="bic")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, as every hard error
+    does; argparse's own 2 is the code of a run with some cells failed."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dirtda",
         description="directed-network persistence analysis of multivariate time series",
     )

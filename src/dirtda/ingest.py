@@ -120,13 +120,16 @@ def _load_clean(
     value is finite; anything else is left to _parse_cells.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             first = next((row for row in reader if row), None)
             if first is None:
                 return None
             labels = _header_labels(first, reader.line_num)
-        # loadtxt skips blank lines itself, so only a header needs skipping
+        # loadtxt skips blank lines itself, so only a header needs skipping;
+        # it reads utf-8, not utf-8-sig, which parses slower, so a headerless
+        # file that starts with a byte-order mark fails here and goes to
+        # _parse_cells
         skip = reader.line_num if labels is not None else 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -148,7 +151,7 @@ def _load_clean(
 
 def _parse_cells(path: str | os.PathLike) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """Parse the CSV one cell at a time with float(); the source of every error."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
@@ -178,7 +181,8 @@ def load_series(path: str | os.PathLike, sampling_rate_hz: float) -> Multivariat
 
     The first non-empty row is treated as a header when any of its cells
     does not parse as a number; otherwise default labels "ch1".."chd" are
-    assigned. A clean numeric file is parsed in C by np.loadtxt. Anything
+    assigned. A UTF-8 byte-order mark at the start of the file is skipped.
+    A clean numeric file is parsed in C by np.loadtxt. Anything
     it rejects, warns about, or reads as non-finite or of the wrong width
     (quoted cells, "1_0", non-ASCII digits, ragged rows, bad cells) is
     parsed again one cell at a time with Python's float(), which accepts

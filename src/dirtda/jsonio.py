@@ -1,6 +1,6 @@
 """Artifact files: the one JSON format of every artifact (compact, sorted
-keys, floats as repr, one trailing newline), and the atomic write that every
-artifact goes through."""
+keys, floats as repr, one trailing newline), the atomic write that every
+artifact goes through, and the reader, which refuses a repeated key."""
 
 from __future__ import annotations
 
@@ -38,6 +38,17 @@ def write_json(doc: dict[str, Any], path: str) -> None:
         handle.write(text + "\n")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    doc: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} appears more than once in one JSON object")
+        doc[key] = value
+    return doc
+
+
 def read_json(path: str) -> dict[str, Any]:
+    """The JSON document in path; an object that repeats a key is an error,
+    where json.load would keep its last value."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, object_pairs_hook=_unique_keys)

@@ -8,11 +8,13 @@ use. Bottleneck distance is exact: a perfect-matching check at the lower
 bound every row and column of that graph imposes settles most pairs, and
 otherwise a binary search over the edge radii above it runs up to the
 diagonal bound. Wasserstein distance is the cheapest assignment of the same
-matrix raised to q. The last pair's matrix is cached, so computing both
-distances of one pair builds it once. Both use scipy's dense assignment
-solver. The first distance computed loads only the compiled module that
-defines it, not the scipy.optimize package, so importing this module loads
-no scipy and a distance loads one scipy module.
+matrix raised to q; where a power would leave the float range, it is one
+assignment of the edges no longer than n^(1/q) times the bottleneck radius,
+divided by that radius before the power. The last pair's matrix is cached,
+so computing both distances of one pair builds it once. Both use scipy's
+dense assignment solver. The first distance computed loads only the
+compiled module that defines it, not the scipy.optimize package, so
+importing this module loads no scipy and a distance loads one scipy module.
 """
 
 from __future__ import annotations
@@ -281,29 +283,18 @@ def _matching(
     return radii, ub, gaps
 
 
-def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
-    """Exact bottleneck distance between the dim-slices of two diagrams.
+def _bottleneck_radius(radii: np.ndarray, ub: float) -> float:
+    """Smallest edge radius at which the augmented graph has a perfect matching.
 
-    Finite points may be matched to each other or to their diagonal
-    projections; points with infinite death must be matched to each other
-    (sorted by birth), and a mismatch in their counts gives +inf.
-
-    The finite part is the smallest edge radius at which the augmented
-    graph has a perfect matching. No radius below the largest of the row
-    and column minima can work, so that lower bound is checked first; when
-    it fails, a binary search over the edge radii above it runs up to the
-    largest half-lifetime, where matching every point to the diagonal is
-    always perfect.
+    No radius below the largest of the row and column minima can work, so
+    that lower bound is checked first; when it fails, a binary search over
+    the edge radii above it runs up to ub, the largest half-lifetime, where
+    matching every point to the diagonal is always perfect.
     """
-    matching = _matching(a, b, dim)
-    if matching is None:
-        return math.inf
-    radii, ub, gaps = matching
-    inf_part = max(gaps, default=0.0)
     # every row and every column needs an edge, so no smaller radius is feasible
     lb = max(radii.min(axis=1).max(), radii.min(axis=0).max()) if len(radii) else 0.0
     if _matchable_within(radii, lb):
-        return max(float(lb), inf_part)
+        return float(lb)
     if not _matchable_within(radii, ub):
         raise AssertionError("the diagonal bound must be feasible")
     # smallest feasible radius in (lb, ub]; feasibility is monotone in the
@@ -316,35 +307,42 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
             hi = mid
         else:
             lo = mid + 1
-    return max(float(ordered[lo]), inf_part)
+    return float(ordered[lo])
 
 
-def _power_scale(radii: np.ndarray, gaps: tuple[float, ...], q: float) -> float | None:
-    """What wasserstein divides the radii and gaps by before raising them
-    to q, or None to raise them as they are.
+def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
+    """Exact bottleneck distance between the dim-slices of two diagrams.
 
-    None when every positive finite one raised to q lies in (2^-1000,
-    2^1000): no power then overflows or underflows, and no sum of fewer
-    than 2^23 of them overflows. Otherwise the largest of them, so that
-    the largest power is 1 and none overflows.
+    Finite points may be matched to each other or to their diagonal
+    projections; points with infinite death must be matched to each other
+    (sorted by birth), and a mismatch in their counts gives +inf. The
+    finite part is _bottleneck_radius of the augmented edge radii.
     """
+    matching = _matching(a, b, dim)
+    if matching is None:
+        return math.inf
+    radii, ub, gaps = matching
+    return max(_bottleneck_radius(radii, ub), max(gaps, default=0.0))
+
+
+def _powers_in_range(radii: np.ndarray, gaps: tuple[float, ...], q: float) -> bool:
+    """Whether every positive finite radius and gap raised to q lies in
+    (2^-1000, 2^1000): no power then overflows or underflows, and no sum
+    of fewer than 2^23 of them overflows."""
     values = radii[(radii > 0) & np.isfinite(radii)].tolist() + [g for g in gaps if g > 0]
     if not values:
-        return None
-    lo, hi = min(values), max(values)
-    if -1000 < q * math.log2(lo) and q * math.log2(hi) < 1000:
-        return None
-    return hi
+        return True
+    return -1000 < q * math.log2(min(values)) and q * math.log2(max(values)) < 1000
 
 
-def _powered(radii: np.ndarray, scale: float | None, q: float) -> np.ndarray:
-    """radii divided by scale, unless it is None, and raised to q.
+def _powered(radii: np.ndarray, scale: float, q: float) -> np.ndarray:
+    """radii divided by scale and raised to q.
 
     A new array, as the cached radii are read-only. Python's float power,
     not numpy's, which can differ in the last bit; 0 and inf are their own
     powers.
     """
-    cost = radii / (scale or 1.0)
+    cost = radii / scale
     powered = (cost > 0) & np.isfinite(cost)
     cost[powered] = [r ** q for r in cost[powered].tolist()]
     return cost
@@ -361,43 +359,38 @@ def wasserstein(
     root of its cost. Infinite points follow the same convention as the
     bottleneck distance. q must be finite and at least 1.
 
-    Where a power would leave the float range (_power_scale), the radii
-    are divided by the largest radius or gap before the power, and the
-    distance is the q-norm of the matched radii and the gaps, computed as
-    their largest times the norm of them divided by it. When every matched
-    cost then underflows to 0, though a matched radius is positive, the
-    matching is arbitrary; an optimal one costs no more, so it uses no
-    edge longer than n^(1/q) times the longest of the n matched radii.
-    The solver runs again on those edges alone, divided by the longest of
-    them, until a matched cost is positive or every matched radius is 0.
-    The bound falls below the longest usable edge on each pass, so this
-    ends.
+    Where a power would leave the float range (_powers_in_range), the
+    solve is anchored at the finite bottleneck radius B. Every matching
+    has an edge of at least B, and the bottleneck matching of n rows
+    costs at most n B^q, so an optimal matching uses no edge longer than
+    n^(1/q) B. The solver runs once on those edges alone, divided by B
+    before the power, so every matching costs at least 1 and no usable
+    edge more than n. The distance is then the q-norm of the matched
+    radii and the gaps, computed as their largest times the norm of them
+    divided by it. With B = 0 the finite part is 0 and nothing is solved.
     """
     if not (math.isfinite(q) and q >= 1):
         raise ValueError(f"q must be finite and >= 1, got {q}")
     matching = _matching(a, b, dim)
     if matching is None:
         return math.inf
-    radii, _, gaps = matching
+    radii, ub, gaps = matching
     if q == 1:
         rows, cols = _assign(radii)
         return float(radii[rows, cols].sum()) + sum(gaps)
-    scale = _power_scale(radii, gaps, q)
-    cost = _powered(radii, scale, q)
-    rows, cols = _assign(cost)
-    if scale is None:
+    if _powers_in_range(radii, gaps, q):
+        cost = _powered(radii, 1.0, q)
+        rows, cols = _assign(cost)
         total = float(cost[rows, cols].sum()) + sum(g ** q for g in gaps)
         return float(total ** (1.0 / q))
-    matched = radii[rows, cols]
-    while matched.any() and not cost[rows, cols].any():
-        bound = len(matched) ** (1.0 / q) * float(matched.max())
-        usable = np.where(radii <= bound, radii, np.inf)
-        scale = float(radii[radii <= bound].max())
-        cost = _powered(usable, scale, q)
-        rows, cols = _assign(cost)
-        matched = radii[rows, cols]
-    terms = [*matched.tolist(), *gaps]
-    top = max(terms)
+    matched: list[float] = []
+    radius = _bottleneck_radius(radii, ub)
+    if radius > 0:
+        usable = np.where(radii <= len(radii) ** (1.0 / q) * radius, radii, np.inf)
+        rows, cols = _assign(_powered(usable, radius, q))
+        matched = radii[rows, cols].tolist()
+    terms = [*matched, *gaps]
+    top = max(terms, default=0.0)
     return top * sum((t / top) ** q for t in terms) ** (1.0 / q) if top > 0 else 0.0
 
 

@@ -175,6 +175,36 @@ class TestRunCommand:
         assert "config key 'windows': must be " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--window", "a:0:900", "--window", "a:900:1800"], "--window: name 'a'"),
+            (["--band", "alpha", "--band", "alpha:8:12"], "--band: name 'alpha'"),
+        ],
+        ids=["window", "band"],
+    )
+    def test_repeated_name_exit_one_before_any_write(
+        self, workdir, config_path, capsys, flags, message
+    ):
+        # the second value used to replace the first without a word
+        out = workdir / f"run_repeated_{flags[0][2:]}"
+        assert run("run", "--config", config_path, "--out-dir", out, *flags) == 1
+        assert f"error: {message} given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_repeating_a_window_exit_one_before_any_write(
+        self, config_path, tmp_path, capsys
+    ):
+        out, path = tmp_path / "out", tmp_path / "config.json"
+        doc = json.loads(config_path.read_text())
+        del doc["windows"]
+        doc["out_dir"] = str(out)
+        # json.dumps cannot repeat a key, so the windows are appended as text
+        path.write_text(json.dumps(doc)[:-1] + ', "windows": {"a": [0, 900], "a": [900, 1800]}}')
+        assert run("run", "--config", path) == 1
+        assert "error: key 'a' appears more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_override(self, workdir, config_path):
         out = workdir / "run_override"
         assert run("run", "--config", config_path, "--out-dir", out,
@@ -336,6 +366,24 @@ class TestArgErrors:
         assert "error: dim must be a non-negative integer, got -1" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--max-dim", "3"], ["compare", "--a", "x"], ["frobnicate"]],
+        ids=["bad-choice", "missing-flag", "unknown-subcommand"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv):
+        # argparse exits 2, the code of a run with some cells failed
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("run", "--help")
+        assert exc.value.code == 0
+        assert "--max-dim" in capsys.readouterr().out
 
     def test_unknown_subcommand_raises_system_exit(self):
         with pytest.raises(SystemExit):

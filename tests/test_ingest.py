@@ -103,6 +103,21 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="ragged row 5:"):
             load_series(path, 10.0)
 
+    def test_byte_order_mark_without_header(self, tmp_path):
+        # the mark used to make the first row a header of label "\ufeff1.0"
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0\n".encode("utf-8"))
+        s = load_series(str(path), 10.0)
+        assert s.channel_labels == ("ch1", "ch2")
+        assert s.samples.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffa,b\n1,2\n3,4\n".encode("utf-8"))
+        s = load_series(str(path), 10.0)
+        assert s.channel_labels == ("a", "b")
+        assert s.samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_clean_csv_skips_cell_parser(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
         s = MultivariateSeries(rng.normal(size=(1000, 8)), 50.0)

@@ -35,3 +35,14 @@ def test_write_replaces_file(tmp_path):
     write_json({"b": [1, 2]}, str(path))
     assert path.read_text(encoding="utf-8") == '{"b": [1, 2]}\n'
     assert os.listdir(tmp_path) == ["doc.json"]
+
+
+@pytest.mark.parametrize(
+    "text", ['{"a": 1, "a": 2}', '{"pairs": [{"dim": 0, "dim": 1}]}'], ids=["top", "nested"]
+)
+def test_repeated_key_refused(tmp_path, text):
+    # json.load keeps the last value of a repeated key
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="appears more than once in one JSON object"):
+        read_json(str(path))

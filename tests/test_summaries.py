@@ -1,4 +1,5 @@
 import importlib.machinery
+import itertools
 import math
 import os
 import subprocess
@@ -115,6 +116,38 @@ def oracle_wasserstein(a, b, q):
         cost[m + j, j] = diag_b[j]
     rows, cols = linear_sum_assignment(cost)
     return float(float(cost[rows, cols].sum()) ** (1.0 / q))
+
+
+def enumerated_wasserstein(a, b, q):
+    """Finite-point q-Wasserstein as the least q-norm over every permutation
+    of the augmented radius matrix, built entry by entry.
+
+    Each matching's norm is its largest radius times the norm of its radii
+    divided by it, so no power leaves the float range at any q. Independent
+    of any assignment solver; for small diagrams only, as an augmented size
+    n has n! permutations.
+    """
+    m, n = len(a), len(b)
+    size = m + n
+    if size == 0:
+        return 0.0
+    radii = np.full((size, size), math.inf)
+    for i in range(size):
+        for j in range(size):
+            if i < m and j < n:
+                radii[i, j] = max(abs(a[i][0] - b[j][0]), abs(a[i][1] - b[j][1]))
+            elif i < m and j - n == i:
+                radii[i, j] = (a[i][1] - a[i][0]) / 2.0
+            elif i >= m and j < n and i - m == j:
+                radii[i, j] = (b[j][1] - b[j][0]) / 2.0
+            elif i >= m and j >= n:
+                radii[i, j] = 0.0
+    perms = np.array(list(itertools.permutations(range(size))))
+    matched = radii[np.arange(size), perms]
+    matched = matched[np.isfinite(matched).all(axis=1)]
+    top = matched.max(axis=1)
+    scaled = matched / np.where(top > 0, top, 1.0)[:, None]
+    return float((top * (scaled**q).sum(axis=1) ** (1.0 / q)).min())
 
 
 class TestLandscape:
@@ -562,6 +595,51 @@ class TestWasserstein:
         a = diagram([(1, 0.0, 1.0)] * 3)
         b = diagram([(1, 0.0, 1.0)] * 2 + [(1, birth, 1.0)])
         assert wasserstein(a, b, 1, q) == birth == bottleneck(a, b, 1)
+
+    def test_large_q_equals_enumerated_optimum(self):
+        # dim-1 points of two compare-d32 diagrams: divided by the largest
+        # radius, the costs near the optimum at q = 400 were subnormal, and
+        # the solver picked a matching 7e-7 relative above the optimum
+        a = diagram([
+            (1, 0.002462481673691617, 0.006690128383216833),
+            (1, 0.005764543392077044, 0.009327145484454439),
+            (1, 0.006090224663312481, 0.010353711418382558),
+        ])
+        b = diagram([
+            (1, 0.001633648251335378, 0.0020064215588264517),
+            (1, 0.0031164148311026716, 0.005399589610752304),
+            (1, 0.0036499208459552686, 0.006005786075968987),
+            (1, 0.004575444258147101, 0.009755164191784262),
+            (1, 0.007407418550162272, 0.009284732133060206),
+        ])
+        expected = enumerated_wasserstein(a.in_dim(1), b.in_dim(1), 400.0)
+        assert expected == pytest.approx(0.001317193886849791, rel=1e-12)
+        distance = wasserstein(a, b, 1, 400.0)
+        assert distance == pytest.approx(expected, rel=1e-12)
+        assert distance >= bottleneck(a, b, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(
+            st.one_of(quantized_diagrams(), small_diagrams()),
+            st.one_of(quantized_diagrams(), small_diagrams()),
+        ).filter(lambda ab: len(ab[0].pairs) + len(ab[1].pairs) <= 7),
+        st.sampled_from([50.0, 400.0, 1000.0]),
+    )
+    def test_large_q_matches_enumeration_oracle(self, ab, q):
+        a, b = ab
+        distance = wasserstein(a, b, 1, q)
+        assert distance == pytest.approx(
+            enumerated_wasserstein(a.in_dim(1), b.in_dim(1), q), rel=1e-12, abs=0
+        )
+        # the bounded solve's norm is at least its largest radius; in range,
+        # the q-th root of a sum of powers can round low by an ulp or two
+        # (0.0625 ** 50 comes back as 0.06249999999999999)
+        bound = bottleneck(a, b, 1)
+        radii, _, gaps = summaries._matching(a, b, 1)
+        if summaries._powers_in_range(radii, gaps, q):
+            bound -= 4 * math.ulp(bound)
+        assert distance >= bound
 
     def test_essential_births_paired_in_order(self):
         a = diagram([(1, 1.0, math.inf), (1, 0.0, math.inf)])
