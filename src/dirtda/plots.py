@@ -2,11 +2,13 @@
 
 SVG is written directly, with fixed canvas geometry and fixed-precision
 coordinates, so repeated runs on identical inputs produce byte-identical
-files. A landscape level is piecewise linear, so its polyline holds only
-its corners: the first and last grid points and every grid point where
-the level bends. The points it leaves out lie on the segment between
-their kept neighbours, so the drawn image is the same as with every grid
-point.
+files. A presentation attribute that several elements share is written
+once: font-family on the root, the others on a <g> around each run of
+elements that share them. A landscape level is piecewise linear, so its
+polyline holds only its corners: the first and last grid points and every
+grid point where the level bends. The points it leaves out lie on the
+segment between their kept neighbours, so the drawn image is the same as
+with every grid point.
 """
 
 from __future__ import annotations
@@ -44,53 +46,72 @@ def _tick_label(x: float) -> str:
     return f"{x:.3g}"
 
 
+def _grouped(items: list[tuple[str | None, str]]) -> list[str]:
+    """Elements in order, given as (shared, element) pairs; each run of
+    consecutive elements with one shared attribute string goes in a <g>
+    that states those attributes once, and None shares nothing."""
+    parts: list[str] = []
+    shared = None
+    for attrs, element in items:
+        if attrs != shared:
+            if shared is not None:
+                parts.append("</g>")
+            if attrs is not None:
+                parts.append(f"<g {attrs}>")
+            shared = attrs
+        parts.append(element)
+    if shared is not None:
+        parts.append("</g>")
+    return parts
+
+
 def _header(title: str) -> list[str]:
+    """The root, which sets font-family for every text, then the background
+    and the title."""
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
+        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif">',
         f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>',
-        f'<text x="{_W / 2:.0f}" y="22" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle" fill="#202020">{html.escape(title, quote=False)}</text>',
+        f'<text x="{_W / 2:.0f}" y="22" font-size="14" text-anchor="middle" '
+        f'fill="#202020">{html.escape(title, quote=False)}</text>',
     ]
 
 
 def _axes(x_label: str, y_label: str, vmax_x: float, vmax_y: float) -> list[str]:
-    parts = [
-        f'<rect x="{_L}" y="{_T}" width="{_PLOT_W}" height="{_PLOT_H}" '
-        f'fill="none" stroke="#303030" stroke-width="1"/>'
-    ]
+    """Frame and ticks, the x then the y tick labels, then the axis labels.
+
+    Every tick is drawn before every tick label. No label touches a tick:
+    x labels have their baseline 15 px below the tick ends and y labels end
+    4 px left of them, so the image is the one drawn with each label right
+    after its own tick.
+    """
+    stroke = 'stroke="#303030" stroke-width="1"'
+    x_text = 'font-size="11" text-anchor="middle" fill="#202020"'
+    y_text = 'font-size="11" text-anchor="end" fill="#202020"'
+    label = 'font-size="12" text-anchor="middle" fill="#202020"'
+    base = _T + _PLOT_H
+    frame = f'<rect x="{_L}" y="{_T}" width="{_PLOT_W}" height="{_PLOT_H}" fill="none"/>'
+    ticks = [(stroke, frame)]
+    x_labels, y_labels = [], []
     for i in range(5):
         frac = i / 4
-        x = _L + frac * _PLOT_W
-        y = _T + _PLOT_H - frac * _PLOT_H
-        parts.append(
-            f'<line x1="{_f(x)}" y1="{_T + _PLOT_H}" x2="{_f(x)}" '
-            f'y2="{_T + _PLOT_H + 5}" stroke="#303030" stroke-width="1"/>'
+        x, y = _f(_L + frac * _PLOT_W), base - frac * _PLOT_H
+        ticks.append((stroke, f'<line x1="{x}" y1="{base}" x2="{x}" y2="{base + 5}"/>'))
+        ticks.append((stroke, f'<line x1="{_L - 5}" y1="{_f(y)}" x2="{_L}" y2="{_f(y)}"/>'))
+        x_labels.append(
+            (x_text, f'<text x="{x}" y="{base + 20}">{_tick_label(frac * vmax_x)}</text>')
         )
-        parts.append(
-            f'<text x="{_f(x)}" y="{_T + _PLOT_H + 20}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle" fill="#202020">'
-            f"{_tick_label(frac * vmax_x)}</text>"
+        y_labels.append(
+            (y_text, f'<text x="{_L - 9}" y="{_f(y + 4)}">{_tick_label(frac * vmax_y)}</text>')
         )
-        parts.append(
-            f'<line x1="{_L - 5}" y1="{_f(y)}" x2="{_L}" y2="{_f(y)}" '
-            f'stroke="#303030" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_L - 9}" y="{_f(y + 4)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end" fill="#202020">'
-            f"{_tick_label(frac * vmax_y)}</text>"
-        )
-    parts.append(
-        f'<text x="{_L + _PLOT_W / 2:.0f}" y="{_H - 14}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" fill="#202020">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_T + _PLOT_H / 2:.0f}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" fill="#202020" '
-        f'transform="rotate(-90 16 {_T + _PLOT_H / 2:.0f})">{y_label}</text>'
-    )
-    return parts
+    mid = f"{_T + _PLOT_H / 2:.0f}"
+    return _grouped([
+        *ticks,
+        *x_labels,
+        *y_labels,
+        (label, f'<text x="{_L + _PLOT_W / 2:.0f}" y="{_H - 14}">{x_label}</text>'),
+        (label, f'<text x="16" y="{mid}" transform="rotate(-90 16 {mid})">{y_label}</text>'),
+    ])
 
 
 def _write_svg(parts: list[str], path: str) -> None:
@@ -131,31 +152,33 @@ def plot_diagram(diagram: PersistenceDiagram, path: str, title: str = "persisten
             f'stroke="#b0b0b0" stroke-width="1" stroke-dasharray="2,3"/>'
         )
         parts.append(
-            f'<text x="{_L + _PLOT_W - 4}" y="{y_inf - 3}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="end" fill="#606060">inf</text>'
+            f'<text x="{_L + _PLOT_W - 4}" y="{y_inf - 3}" font-size="10" '
+            f'text-anchor="end" fill="#606060">inf</text>'
         )
+    # each run of finite points of one dim shares a <g> for its fill; an
+    # infinite-death marker, opaque, ends the run
+    points: list[tuple[str | None, str]] = []
     for k, b, d in diagram.pairs:
         color = _DIM_COLORS[k % len(_DIM_COLORS)]
         if math.isfinite(d):
-            parts.append(
-                f'<circle class="pt" cx="{_f(sx(b))}" cy="{_f(sy(d))}" r="3.5" '
-                f'fill="{color}" fill-opacity="0.8"/>'
-            )
+            points.append((
+                f'fill="{color}" fill-opacity="0.8"',
+                f'<circle class="pt" cx="{_f(sx(b))}" cy="{_f(sy(d))}" r="3.5"/>',
+            ))
         else:
             x, y = sx(b), _T + 8.0
-            parts.append(
+            points.append((
+                None,
                 f'<path d="M {_f(x)} {_f(y - 4)} L {_f(x - 4)} {_f(y + 3)} '
-                f'L {_f(x + 4)} {_f(y + 3)} Z" fill="{color}"/>'
-            )
+                f'L {_f(x + 4)} {_f(y + 3)} Z" fill="{color}"/>',
+            ))
+    parts += _grouped(points)
     for slot, k in enumerate(dims):
         color = _DIM_COLORS[k % len(_DIM_COLORS)]
         x0 = _L + 10 + slot * 64
+        parts.append(f'<circle cx="{x0}" cy="{_T + 12}" r="4" fill="{color}"/>')
         parts.append(
-            f'<circle cx="{x0}" cy="{_T + 12}" r="4" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{x0 + 8}" y="{_T + 16}" font-family="sans-serif" '
-            f'font-size="11" fill="#202020">dim {k}</text>'
+            f'<text x="{x0 + 8}" y="{_T + 16}" font-size="11" fill="#202020">dim {k}</text>'
         )
     _write_svg(parts, path)
 
@@ -180,6 +203,10 @@ def plot_landscape(ls: PersistenceLandscape, path: str, title: str | None = None
 
     parts = _header(title)
     parts += _axes("t", "level value", vmax_x, vmax_y)
+    # every polyline is drawn before the legend: a level rises no higher
+    # than y = _T + _PLOT_H / 11 (75.3 px), as vmax_y is 1.1 times the top
+    # level, and the legend lies above y = 56, so none of them overlap
+    lines, legend, labels = [], [], []
     for k, y in enumerate(ys):
         color = _DIM_COLORS[k % len(_DIM_COLORS)]
         keep = np.ones(y.size, dtype=bool)
@@ -187,17 +214,17 @@ def plot_landscape(ls: PersistenceLandscape, path: str, title: str | None = None
         pts = " ".join(
             f"{_f(px)},{_f(py)}" for px, py in zip(xs[keep].tolist(), y[keep].tolist())
         )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5" stroke-opacity="0.9"/>'
-        )
+        lines.append((
+            'fill="none" stroke-width="1.5" stroke-opacity="0.9"',
+            f'<polyline points="{pts}" stroke="{color}"/>',
+        ))
         x0 = _L + 10 + k * 64
-        parts.append(
-            f'<line x1="{x0}" y1="{_T + 12}" x2="{x0 + 14}" y2="{_T + 12}" '
-            f'stroke="{color}" stroke-width="2"/>'
+        legend.append((
+            'stroke-width="2"',
+            f'<line x1="{x0}" y1="{_T + 12}" x2="{x0 + 14}" y2="{_T + 12}" stroke="{color}"/>',
+        ))
+        labels.append(
+            ('font-size="11" fill="#202020"', f'<text x="{x0 + 18}" y="{_T + 16}">k={k + 1}</text>')
         )
-        parts.append(
-            f'<text x="{x0 + 18}" y="{_T + 16}" font-family="sans-serif" '
-            f'font-size="11" fill="#202020">k={k + 1}</text>'
-        )
+    parts += _grouped(lines + legend + labels)
     _write_svg(parts, path)

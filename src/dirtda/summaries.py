@@ -310,6 +310,18 @@ def _bottleneck_radius(radii: np.ndarray, ub: float) -> float:
     return float(ordered[lo])
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _matching_radius(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
+    """_bottleneck_radius of the pair's _matching, which must not be None.
+
+    Cached beside _matching and keyed the same way, so the bottleneck
+    distance and a large-q Wasserstein solve of one pair search the
+    radius once between them.
+    """
+    radii, ub, _ = _matching(a, b, dim)
+    return _bottleneck_radius(radii, ub)
+
+
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     """Exact bottleneck distance between the dim-slices of two diagrams.
 
@@ -321,8 +333,8 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     matching = _matching(a, b, dim)
     if matching is None:
         return math.inf
-    radii, ub, gaps = matching
-    return max(_bottleneck_radius(radii, ub), max(gaps, default=0.0))
+    _, _, gaps = matching
+    return max(_matching_radius(a, b, dim), max(gaps, default=0.0))
 
 
 def _powers_in_range(radii: np.ndarray, gaps: tuple[float, ...], q: float) -> bool:
@@ -374,7 +386,7 @@ def wasserstein(
     matching = _matching(a, b, dim)
     if matching is None:
         return math.inf
-    radii, ub, gaps = matching
+    radii, _, gaps = matching
     if q == 1:
         rows, cols = _assign(radii)
         return float(radii[rows, cols].sum()) + sum(gaps)
@@ -384,7 +396,7 @@ def wasserstein(
         total = float(cost[rows, cols].sum()) + sum(g ** q for g in gaps)
         return float(total ** (1.0 / q))
     matched: list[float] = []
-    radius = _bottleneck_radius(radii, ub)
+    radius = _matching_radius(a, b, dim)
     if radius > 0:
         usable = np.where(radii <= len(radii) ** (1.0 / q) * radius, radii, np.inf)
         rows, cols = _assign(_powered(usable, radius, q))

@@ -301,6 +301,19 @@ class TestRunPipeline:
         assert all(name in str(err.value) for name in names)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a\x01", "a\ud800"], ids=["control", "surrogate"])
+    @pytest.mark.parametrize("key", ["windows", "bands"])
+    def test_name_xml_cannot_hold_rejected_before_any_write(self, series_csv, tmp_path, key, name):
+        # "a\x01" used to write SVGs that no XML parser reads, and "a\ud800"
+        # stopped the run with UnicodeEncodeError after its first writes
+        out = tmp_path / "out"
+        windows = ((name if key == "windows" else "w1", 0.0, 800.0),)
+        bands = (FrequencyBand(name if key == "bands" else "peak", 0.18, 0.28),)
+        message = f"config key '{key}': name {re.escape(repr(name))} holds a character XML"
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(config(series_csv, str(out), windows=windows, bands=bands))
+        assert not out.exists()
+
     def test_distance_failure_isolated_to_its_pair(self, series_csv, tmp_path, monkeypatch):
         import dirtda.pipeline
 

@@ -1,8 +1,10 @@
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,10 @@ from dirtda import (
 from dirtda.plots import _L, _PLOT_H, _PLOT_W, _T, _f
 from test_summaries import quantized_diagrams, small_diagrams
 
+# the SVGs of GOLDEN_DIAGRAM and GOLDEN_LANDSCAPE as plots.py wrote them when
+# every element carried each of its own presentation attributes
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def svg_root(path):
     tree = ET.parse(path)
@@ -24,12 +30,103 @@ def svg_root(path):
     return root
 
 
+# presentation attributes an element takes from its <svg> and <g> ancestors;
+# the font properties and text-anchor matter on <text> alone
+INHERITED = frozenset({
+    "fill", "fill-opacity", "stroke", "stroke-width", "stroke-opacity",
+    "stroke-dasharray", "font-family", "font-size", "text-anchor",
+})
+TEXT_ONLY = frozenset({"font-family", "font-size", "text-anchor"})
+
+
+def _value(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def drawn_elements(path):
+    """Every element of the SVG at path other than <svg> and <g>, in
+    document order, as (tag, effective attributes, text).
+
+    An element's effective attributes are its own over those it inherits
+    from its ancestors; numbers are compared as floats.
+    """
+    drawn = []
+
+    def walk(parent, inherited):
+        for element in parent:
+            tag = element.tag.rsplit("}", 1)[-1]
+            if tag == "g":
+                # a group that set anything but inherited properties, such
+                # as a transform, would change how its children are drawn
+                assert set(element.attrib) <= INHERITED, element.attrib
+                walk(element, {**inherited, **element.attrib})
+                continue
+            assert len(element) == 0, tag
+            attrs = {**inherited, **element.attrib}
+            if tag != "text":
+                attrs = {k: v for k, v in attrs.items() if k not in TEXT_ONLY}
+            drawn.append((tag, frozenset((k, _value(v)) for k, v in attrs.items()), element.text))
+
+    root = svg_root(path)
+    walk(root, {k: v for k, v in root.attrib.items() if k in INHERITED})
+    return drawn
+
+
+def assert_draws_the_same(path, golden):
+    got, want = drawn_elements(path), drawn_elements(golden)
+    assert Counter(got) == Counter(want)
+    # elements that may overlap keep their paint order
+    shapes = ("polyline", "circle", "path")
+    assert [e for e in got if e[0] in shapes] == [e for e in want if e[0] in shapes]
+
+
 def data_circles(root):
     return [
         e
         for e in root.iter()
         if e.tag.endswith("circle") and e.attrib.get("class") == "pt"
     ]
+
+
+GOLDEN_DIAGRAM = PersistenceDiagram((
+    (0, 0.0, 0.5), (0, 0.1, math.inf), (0, 0.2, 0.9), (0, 0.3, 0.35),
+    (1, 0.4, 0.7), (1, 0.45, 0.6), (2, 0.62, 0.66),
+))
+# two tents in dim 1 and five levels, so levels 3 to 5 are flat
+GOLDEN_LANDSCAPE = landscape(
+    PersistenceDiagram(((1, 0.1, 0.9), (1, 0.3, 0.6))), 1, k_max=5, n_grid=64, t_max=1.0
+)
+
+
+class TestSharedStyles:
+    def test_diagram_draws_the_golden_elements(self, tmp_path):
+        # an infinite point between finite dim-0 points, and a title to escape
+        path = tmp_path / "diagram.svg"
+        plot_diagram(GOLDEN_DIAGRAM, str(path), 'R&D <1> / "peak"')
+        assert_draws_the_same(path, GOLDEN / "diagram.svg")
+        assert path.read_text(encoding="utf-8").count("font-family") == 1
+        assert path.stat().st_size < (GOLDEN / "diagram.svg").stat().st_size
+
+    def test_landscape_draws_the_golden_elements(self, tmp_path):
+        path = tmp_path / "landscape.svg"
+        plot_landscape(GOLDEN_LANDSCAPE, str(path))
+        assert_draws_the_same(path, GOLDEN / "landscape.svg")
+        assert path.read_text(encoding="utf-8").count("font-family") == 1
+        assert path.stat().st_size < (GOLDEN / "landscape.svg").stat().st_size
+
+    def test_helper_sees_a_changed_attribute(self, tmp_path):
+        # the comparison is not blind: a group that drops fill-opacity differs
+        path = tmp_path / "diagram.svg"
+        plot_diagram(GOLDEN_DIAGRAM, str(path), 'R&D <1> / "peak"')
+        text = path.read_text(encoding="utf-8")
+        dropped = text.replace('fill="#ff7f0e" fill-opacity="0.8"', 'fill="#ff7f0e"', 1)
+        assert dropped != text
+        path.write_text(dropped, encoding="utf-8")
+        with pytest.raises(AssertionError):
+            assert_draws_the_same(path, GOLDEN / "diagram.svg")
 
 
 class TestPlotDiagram:

@@ -34,6 +34,27 @@ def diagram(pairs):
 EMPTY = diagram([])
 SINGLE = diagram([(1, 1.0, 3.0)])
 DOUBLE = diagram([(1, 1.0, 3.0), (1, 1.0, 3.0)])
+# dim-1 points of two compare-d32 diagrams, whose radii raised to q = 400
+# leave the float range
+COMPARE_A = diagram([
+    (1, 0.002462481673691617, 0.006690128383216833),
+    (1, 0.005764543392077044, 0.009327145484454439),
+    (1, 0.006090224663312481, 0.010353711418382558),
+])
+COMPARE_B = diagram([
+    (1, 0.001633648251335378, 0.0020064215588264517),
+    (1, 0.0031164148311026716, 0.005399589610752304),
+    (1, 0.0036499208459552686, 0.006005786075968987),
+    (1, 0.004575444258147101, 0.009755164191784262),
+    (1, 0.007407418550162272, 0.009284732133060206),
+])
+
+
+def clear_pair_caches():
+    """Empty the caches that the two distances of one pair share, so a pair
+    equal to an earlier one is worked out afresh."""
+    summaries._matching.cache_clear()
+    summaries._matching_radius.cache_clear()
 
 
 @st.composite
@@ -270,6 +291,8 @@ def probes(monkeypatch):
         return matchable_within(radii, radius)
 
     monkeypatch.setattr(summaries, "_matchable_within", counting)
+    # a radius cached for an equal pair would need no check at all
+    clear_pair_caches()
     return calls
 
 
@@ -475,13 +498,48 @@ def test_diagram_distances_build_one_matrix(a, b, births_a, births_b, q):
         return edge_radii(fin_a, fin_b)
 
     # a pair equal to the last example's would find its matrix cached
-    summaries._matching.cache_clear()
+    clear_pair_caches()
     with mock.patch.object(summaries, "_edge_radii", counting):
         got = diagram_distances(a, b, ls_a, ls_b, 1, q)
     # the essential counts differ exactly when no matrix is needed
     assert len(builds) == (0 if len(births_a) != len(births_b) else 1)
     for name, value in (("bottleneck", bottleneck(a, b, 1)), ("wasserstein", wasserstein(a, b, 1, q))):
         assert repr(got[name]) == repr(value if math.isfinite(value) else "inf")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(quantized_diagrams(), small_diagrams()),
+    st.one_of(quantized_diagrams(), small_diagrams()),
+)
+# the compare-d32 pair takes the bounded solve at q = 400, which used to
+# search the bottleneck radius a second time
+@example(COMPARE_A, COMPARE_B)
+def test_large_q_searches_the_bottleneck_radius_once(a, b):
+    t_max = shared_t_max(a, b)
+    ls_a, ls_b = landscape(a, 1, t_max=t_max), landscape(b, 1, t_max=t_max)
+    checks, matchable_within = [], summaries._matchable_within
+
+    def counting(radii, radius):
+        checks.append(radius)
+        return matchable_within(radii, radius)
+
+    for q in (1.0, 400.0):
+        clear_pair_caches()
+        del checks[:]
+        with mock.patch.object(summaries, "_matchable_within", counting):
+            got = diagram_distances(a, b, ls_a, ls_b, 1, q)
+        if q == 1.0:
+            at_q1 = list(checks)
+        assert checks == at_q1
+        # the same values as each distance worked out alone
+        for name, distance in (
+            ("bottleneck", lambda: bottleneck(a, b, 1)),
+            ("wasserstein", lambda: wasserstein(a, b, 1, q)),
+        ):
+            clear_pair_caches()
+            value = distance()
+            assert repr(got[name]) == repr(value if math.isfinite(value) else "inf")
 
 
 def test_cached_matching_keeps_dim_types_apart():
@@ -497,7 +555,7 @@ def test_cached_matching_gives_equal_diagrams_one_value():
     # hands back are floats whichever diagram filled it
     ints = diagram([(1, 0, math.inf)]), diagram([(1, 2, math.inf)])
     floats = diagram([(1, 0.0, math.inf)]), diagram([(1, 2.0, math.inf)])
-    summaries._matching.cache_clear()
+    clear_pair_caches()
     assert repr(bottleneck(*ints, 1)) == repr(bottleneck(*floats, 1)) == "2.0"
 
 
@@ -510,7 +568,7 @@ def test_cached_matching_gives_equal_diagrams_one_value():
 def test_cached_matching_does_not_leak_into_the_next_pair(a, b, c):
     bottleneck(a, b, 1)
     after = bottleneck(a, c, 1)
-    summaries._matching.cache_clear()
+    clear_pair_caches()
     assert repr(after) == repr(bottleneck(a, c, 1))
 
 
@@ -597,21 +655,10 @@ class TestWasserstein:
         assert wasserstein(a, b, 1, q) == birth == bottleneck(a, b, 1)
 
     def test_large_q_equals_enumerated_optimum(self):
-        # dim-1 points of two compare-d32 diagrams: divided by the largest
-        # radius, the costs near the optimum at q = 400 were subnormal, and
-        # the solver picked a matching 7e-7 relative above the optimum
-        a = diagram([
-            (1, 0.002462481673691617, 0.006690128383216833),
-            (1, 0.005764543392077044, 0.009327145484454439),
-            (1, 0.006090224663312481, 0.010353711418382558),
-        ])
-        b = diagram([
-            (1, 0.001633648251335378, 0.0020064215588264517),
-            (1, 0.0031164148311026716, 0.005399589610752304),
-            (1, 0.0036499208459552686, 0.006005786075968987),
-            (1, 0.004575444258147101, 0.009755164191784262),
-            (1, 0.007407418550162272, 0.009284732133060206),
-        ])
+        # divided by the largest radius, the costs near the optimum at
+        # q = 400 were subnormal, and the solver picked a matching 7e-7
+        # relative above the optimum
+        a, b = COMPARE_A, COMPARE_B
         expected = enumerated_wasserstein(a.in_dim(1), b.in_dim(1), 400.0)
         assert expected == pytest.approx(0.001317193886849791, rel=1e-12)
         distance = wasserstein(a, b, 1, 400.0)
