@@ -4,6 +4,13 @@ A VAR(K) on d channels is X(t) = sum_k Phi_k X(t-k) + E(t) with iid
 Gaussian innovations E(t) ~ N(0, Sigma_E). Fitting is per-equation OLS on
 the stacked lag regression; an intercept is fitted internally and discarded,
 so callers are expected to pass (approximately) centered data.
+
+Fitting and order selection both read one upper-triangular factor of the
+lag design with the responses appended. On a well-conditioned window it is
+the Cholesky factor of that matrix's Gram matrix, which is summed over row
+blocks and factored by numpy loops, so the design is never built and a
+fit's bits do not depend on the BLAS thread count. Otherwise the design is
+built and the factor comes from its QR, whose bits may.
 """
 
 from __future__ import annotations
@@ -31,12 +38,12 @@ __all__ = [
 # is treated as numerically singular (e.g. duplicated channels)
 _MAX_CONDITION = 1e12
 
-# order selection scores from the Cholesky factor of [design | response]'s
+# fitting and order selection read the Cholesky factor of [design | response]'s
 # Gram matrix only when that factor's condition number is at most this:
 # forming the Gram matrix squares it, and cond**2 * eps then stays below 1e-10
 _GRAM_MAX_CONDITION = 1e3
 
-# rows of the lagged window summed into select_order's Gram matrix at a time
+# rows of the lagged window summed into the Gram matrix at a time
 _GRAM_BLOCK_ROWS = 2048
 
 _STABILITY_MARGIN = 1e-8
@@ -87,20 +94,19 @@ class OrderCriterion(enum.Enum):
     BIC = "bic"
 
 
-def _lag_design(x: np.ndarray, k: int, response: bool = False) -> np.ndarray:
-    """Rows k on of [1, x(t-1), ..., x(t-k)], followed by x(t) when response.
+def _lag_design(x: np.ndarray, k: int) -> np.ndarray:
+    """Rows k on of [1, x(t-1), ..., x(t-k) | x(t)].
 
     Written into one preallocated array; the columns are ordered by lag, so
     the first 1 + j*d columns are the regressors of every order j <= k.
     """
     t, d = x.shape
     p = 1 + k * d
-    out = np.empty((t - k, p + d if response else p))
+    out = np.empty((t - k, p + d))
     out[:, 0] = 1.0
     for lag in range(1, k + 1):
         out[:, 1 + (lag - 1) * d : 1 + lag * d] = x[k - lag : t - lag]
-    if response:
-        out[:, p:] = x[k:]
+    out[:, p:] = x[k:]
     return out
 
 
@@ -128,6 +134,14 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
     -------
     VarModel
         Coefficients (k, d, d) and residual covariance with denominator T - k.
+
+    The fit reads one upper-triangular factor R = [[R11, R12], [0, R22]] of
+    M = [design | response] (Lütkepohl §3.2): the coefficients solve
+    R11 beta = R12, and R22^T R22 is the residual cross-product. R is the
+    Cholesky factor of M^T M, summed over row blocks as in select_order,
+    when that factor's condition number is at most _GRAM_MAX_CONDITION, so
+    the design's is too. Otherwise M is built, R comes from its QR, and a
+    design whose condition number exceeds _MAX_CONDITION raises.
     """
     x = series.samples
     t, d = x.shape
@@ -137,20 +151,22 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
         raise ValueError(
             f"need T > d*k + k observations to fit VAR({k}) on {d} channels, got T={t}"
         )
-    y, design = x[k:], _lag_design(x, k)
-    beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
-    # the solver's singular values give the 2-norm condition number for free
-    _check_condition(sv)
-    resid = y - design @ beta
+    p = 1 + k * d
+    r = _gram_factor(_lagged_gram(x, k))
+    if r is None:
+        r = np.linalg.qr(_lag_design(x, k), mode="r")
+        _check_condition(np.linalg.svd(r[:p, :p], compute_uv=False))
+    beta = _back_substitute(r[:p, :p], r[:p, p:])
     # drop the intercept row; reshape the rest into (k, d, d)
     coeffs = np.stack([beta[1 + lag * d : 1 + (lag + 1) * d].T for lag in range(k)])
-    sigma = resid.T @ resid / (t - k)
+    tail = r[p:, p:]
+    sigma = np.einsum("ij,ik->jk", tail, tail) / (t - k)
     sigma = 0.5 * (sigma + sigma.T)
     return VarModel(coeffs, sigma)
 
 
 def _lagged_gram(x: np.ndarray, k: int) -> np.ndarray:
-    """M^T M for M = _lag_design(x, k, response=True), without building M.
+    """M^T M for M = _lag_design(x, k), without building M.
 
     Row i of a read-only view of x is x[i : i + k + 1] flattened, that is
     [x(t-k), ..., x(t-1), x(t)] at t = i + k; those rows sit next to each
@@ -180,16 +196,35 @@ def _lagged_gram(x: np.ndarray, k: int) -> np.ndarray:
     return gram[np.ix_(order, order)]
 
 
+# The Cholesky factor and the triangular solve below are loops over numpy
+# vector operations, not LAPACK: LAPACK's Cholesky and triangular solves at
+# these widths (129 columns for d = 32, k = 3) give different bits at
+# different BLAS thread counts, and with them every model, network, diagram
+# and distance of a run.
 def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor of gram, or None when Cholesky fails or the
-    factor's condition number exceeds _GRAM_MAX_CONDITION."""
-    try:
-        r = np.linalg.cholesky(gram, upper=True)
-    except np.linalg.LinAlgError:
-        return None
+    """Upper Cholesky factor of gram, or None when a pivot is not positive or
+    the factor's condition number exceeds _GRAM_MAX_CONDITION."""
+    n = len(gram)
+    r = np.zeros_like(gram)
+    for j in range(n):
+        above = r[:j, j]
+        pivot = gram[j, j] - above @ above
+        # false for a NaN pivot as well
+        if not pivot > 0:
+            return None
+        r[j, j] = np.sqrt(pivot)
+        r[j, j + 1 :] = (gram[j, j + 1 :] - above @ r[:j, j + 1 :]) / r[j, j]
     sv = np.linalg.svd(r, compute_uv=False)
     # false for a zero or NaN smallest singular value as well
     return r if sv[0] <= _GRAM_MAX_CONDITION * sv[-1] else None
+
+
+def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve upper @ out = rhs for an upper-triangular upper, row by row."""
+    out = np.empty_like(rhs)
+    for i in range(len(upper) - 1, -1, -1):
+        out[i] = (rhs[i] - upper[i, i + 1 :] @ out[i + 1 :]) / upper[i, i]
+    return out
 
 
 def select_order(
@@ -206,9 +241,10 @@ def select_order(
     M = [design(k_max) | response] (nested least squares, Lütkepohl §4.3):
     order k's design is the first p = 1 + k*d columns of M, so
     r[p:, p_max:]^T r[p:, p_max:] is its residual cross-product. R is the
-    Cholesky factor of M^T M when that factor's condition number is at
-    most _GRAM_MAX_CONDITION; a column subset is never worse conditioned,
-    so that one check covers every order, and each residual covariance's
+    Cholesky factor of M^T M, from the same _lagged_gram and _gram_factor
+    as fit_var, when that factor's condition number is at most
+    _GRAM_MAX_CONDITION; a column subset is never worse conditioned, so
+    that one check covers every order, and each residual covariance's
     condition number is then at most _GRAM_MAX_CONDITION**2. M^T M is
     summed over blocks of rows of a lagged view of the window, so M itself
     is never built on this path. Otherwise M is built, R comes from its QR,
@@ -231,7 +267,7 @@ def select_order(
     r = _gram_factor(_lagged_gram(x, k_max))
     check_each_order = r is None
     if check_each_order:
-        r = np.linalg.qr(_lag_design(x, k_max, response=True), mode="r")
+        r = np.linalg.qr(_lag_design(x, k_max), mode="r")
     p_max = 1 + k_max * d
     best_k, best_score = 0, np.inf
     for k in range(1, k_max + 1):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from dirtda import (
     fit_var,
     is_stable,
     select_order,
+    standardize,
 )
 import dirtda.var
 from dirtda.var import var_model_from_dict, var_model_to_dict
@@ -239,7 +243,7 @@ def test_blocked_gram_matches_the_design_gram(seed, d, k, t_eff, fortran):
     x = rng.normal(loc=rng.uniform(-3.0, 3.0, size=d), size=(t_eff + k, d))
     if fortran:
         x = np.asfortranarray(x)
-    m = dirtda.var._lag_design(x, k, response=True)
+    m = dirtda.var._lag_design(x, k)
     expected = m.T @ m
     got = dirtda.var._lagged_gram(x, k)
     assert got.shape == expected.shape
@@ -254,6 +258,7 @@ def test_well_conditioned_window_builds_no_design(monkeypatch):
     s = simulate_var(TRUE_MODEL, 3000, seed=28)
     for crit in OrderCriterion:
         assert select_order(s, 6, crit) == reference_select_order.select_order(s, 6, crit)
+    fit_var(s, 6)
 
 
 def test_select_order_peak_memory_stays_below_half_the_design():
@@ -267,6 +272,52 @@ def test_select_order_peak_memory_stays_below_half_the_design():
     finally:
         tracemalloc.stop()
     assert peak < design_bytes / 2
+
+
+def test_fit_var_peak_memory_stays_below_half_the_design():
+    t, d, k = 20_000, 5, 12
+    s = MultivariateSeries(np.random.default_rng(30).normal(size=(t, d)), 1.0, default_labels(d))
+    design_bytes = (t - k) * (1 + k * d + d) * 8  # 10.5 MB
+    tracemalloc.start()
+    try:
+        fit_var(s, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < design_bytes / 2
+
+
+# fits one window and prints the hashes of the model's and the Gram matrix's bytes
+_FIT_AND_HASH = """
+import hashlib, sys
+import numpy as np
+from dirtda import MultivariateSeries, default_labels, fit_var
+from dirtda.var import _lagged_gram
+x = np.load(sys.argv[1])
+model = fit_var(MultivariateSeries(x, 1.0, default_labels(x.shape[1])), 3)
+print(hashlib.sha256(model.coeffs.tobytes() + model.innovation_cov.tobytes()).hexdigest())
+print(hashlib.sha256(_lagged_gram(x, 3).tobytes()).hexdigest())
+"""
+
+
+def test_fit_is_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # a d = 32 window at order 3 factors a 129-column Gram matrix, a width
+    # at which LAPACK's Cholesky gave different bits at 1 and 2 threads
+    s = standardize(simulate_var(_stable_var(31, 32, 3, 0.8), 4000, seed=31))
+    path = str(tmp_path / "window.npy")
+    np.save(path, s.samples)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirtda.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", _FIT_AND_HASH, path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout.split())
+    assert hashes[0] == hashes[1]
 
 
 def _stable_var(seed: int, d: int, k: int, radius: float) -> VarModel:
@@ -293,6 +344,71 @@ def test_select_order_matches_per_order_lstsq(seed, d, k_true, k_max, radius, cr
     assert select_order(s, k_max, criterion) == reference_select_order.select_order(
         s, k_max, criterion
     )
+
+
+def _lstsq_fit(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """fit_var as it was before the Gram factor: one lstsq solve on the lag
+    design, and the residuals' cross-product over T - k."""
+    coeffs, resid, _ = reference_select_order._ols(x, k, k)
+    return coeffs, resid.T @ resid / (x.shape[0] - k)
+
+
+def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.3, max_value=0.95),
+)
+def test_fit_var_matches_lstsq(seed, d, k_true, k, radius):
+    s = simulate_var(_stable_var(seed, d, k_true, radius), 400, seed=seed)
+    fit = fit_var(s, k)
+    coeffs, sigma = _lstsq_fit(s.samples, k)
+    assert _relative_error(fit.coeffs, coeffs) <= 1e-8
+    assert _relative_error(fit.innovation_cov, sigma) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=1.0, max_value=16.0),
+)
+def test_fit_var_near_collinear_matches_lstsq(seed, d, k, neg_log_eps):
+    # x[:, j] = x[:, i] + eps * noise with eps in [1e-16, 1e-1]: the design's
+    # condition number sweeps across the Cholesky/QR switch (eps near
+    # 1e-2.5 here) and past the 1e12 bound
+    rng = np.random.default_rng(seed)
+    x = simulate_var(_stable_var(seed, d, 2, 0.8), 400, seed=seed).samples.copy()
+    i, j = rng.choice(d, size=2, replace=False)
+    x[:, j] = x[:, i] + 10.0**-neg_log_eps * rng.normal(size=x.shape[0])
+    s = MultivariateSeries(x, 1.0, default_labels(d))
+    cond = np.linalg.cond(reference_select_order._lag_design(x, k, k)[1])
+    try:
+        fit = fit_var(s, k)
+    except ValueError as exc:
+        fit = str(exc)
+    if cond <= 1e10:
+        coeffs, sigma = _lstsq_fit(x, k)
+        # both solutions lie about cond * 1e-15 from the exact one (checked
+        # against 60-digit arithmetic), so past cond 1e5 the bound grows with it
+        bound = max(1e-8, 1e-13 * cond)
+        assert _relative_error(fit.coeffs, coeffs) <= bound
+        assert _relative_error(fit.innovation_cov, sigma) <= bound
+    elif cond > 1.01e12:
+        # past the bound by more than the estimate's own error, u * cond
+        assert isinstance(fit, str) and "condition" in fit, fit
+        with pytest.raises(ValueError, match="condition"):
+            _lstsq_fit(x, k)
+    else:
+        # near the bound the two condition estimates may fall either side
+        assert isinstance(fit, VarModel) or "condition" in fit
 
 
 def _outcome(select, s, k_max, criterion):
