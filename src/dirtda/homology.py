@@ -283,11 +283,18 @@ def diagram_to_dict(diagram: PersistenceDiagram) -> dict[str, Any]:
 
 def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
     """Inverse of diagram_to_dict: "inf" becomes math.inf, and every birth
-    and death a float; PersistenceDiagram checks the pairs."""
+    and death a float. pairs must be a list of objects; PersistenceDiagram
+    checks the pairs."""
+    pairs = doc["pairs"]
+    if not isinstance(pairs, list):
+        raise ValueError(f"diagram pairs must be a list, got {type(pairs).__name__}")
+    for i, p in enumerate(pairs):
+        if not isinstance(p, dict):
+            raise ValueError(f"diagram pair {i}: must be an object, got {p!r}")
     return PersistenceDiagram(
         tuple(
             (p["dim"], float(p["birth"]), math.inf if p["death"] == "inf" else float(p["death"]))
-            for p in doc["pairs"]
+            for p in pairs
         )
     )
 

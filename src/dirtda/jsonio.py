@@ -48,7 +48,11 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def read_json(path: str) -> dict[str, Any]:
-    """The JSON document in path; an object that repeats a key is an error,
-    where json.load would keep its last value."""
+    """The JSON object in path; any other top level is an error, as is an
+    object that repeats a key, where json.load would keep its last value."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle, object_pairs_hook=_unique_keys)
+        doc = json.load(handle, object_pairs_hook=_unique_keys)
+    if not isinstance(doc, dict):
+        kind = "null" if doc is None else type(doc).__name__
+        raise ValueError(f"{path}: expected a JSON object at the top level, got {kind}")
+    return doc

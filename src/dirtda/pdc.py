@@ -29,8 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrequencyBand:
-    """A named frequency interval in Hz, 0 <= low_hz < high_hz, both numbers
-    (not bools)."""
+    """A named frequency interval in Hz, 0 <= low_hz < high_hz < inf, both
+    numbers (not bools)."""
 
     name: str
     low_hz: float
@@ -41,9 +41,10 @@ class FrequencyBand:
             raise ValueError("band name must be non-empty")
         edges = (self.low_hz, self.high_hz)
         numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in edges)
-        if not (numbers and 0 <= self.low_hz < self.high_hz):
+        if not (numbers and 0 <= self.low_hz < self.high_hz < math.inf):
             raise ValueError(
-                f"band {self.name!r} needs 0 <= low < high, got [{self.low_hz}, {self.high_hz}]"
+                f"band {self.name!r} needs 0 <= low < high < inf, "
+                f"got [{self.low_hz}, {self.high_hz}]"
             )
 
 

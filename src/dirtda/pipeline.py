@@ -321,7 +321,7 @@ def _listed_artifacts(out_dir: str) -> list[str]:
         doc = read_json(os.path.join(out_dir, REPORT_NAME))
     except (OSError, ValueError):
         return []
-    listed = doc.get("artifacts") if isinstance(doc, dict) else None
+    listed = doc.get("artifacts")
     if not isinstance(listed, list):
         return []
     return [

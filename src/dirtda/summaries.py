@@ -7,13 +7,13 @@ exists, with infinity-norm ground metric and inf for edges no matching may
 use. Bottleneck distance is exact: a perfect-matching check at the lower
 bound every row and column of that graph imposes settles most pairs, and
 otherwise a binary search over the edge radii above it runs up to the
-diagonal bound. Wasserstein distance is the cheapest assignment of the same
-matrix raised to q; where a power would leave the float range, it is one
-assignment of the edges no longer than n^(1/q) times the bottleneck radius,
-divided by that radius before the power. The last pair's matrix is cached,
-so computing both distances of one pair builds it once. Both use scipy's
-dense assignment solver. The first distance computed loads only the
-compiled module that defines it, not the scipy.optimize package, so
+diagonal bound. Wasserstein distance at q = 1 is the cheapest assignment
+of the same matrix; at any other q it is one assignment of the edges no
+longer than n^(1/q) times the bottleneck radius, divided by that radius
+before the power. The last pair's matrix and radius are cached, so both
+distances of one pair build the one and search the other once. Both use
+scipy's dense assignment solver. The first distance computed loads only
+the compiled module that defines it, not the scipy.optimize package, so
 importing this module loads no scipy and a distance loads one scipy module.
 """
 
@@ -167,8 +167,9 @@ def _edge_radii(
     b-points plus one proxy per a-point. A point may pair with any point of
     the other diagram (infinity-norm distance) or with its own proxy (half
     its lifetime); proxies pair with each other for free. Missing edges are
-    inf. The bottleneck distance searches these radii; the q-Wasserstein
-    cost matrix is these radii raised to q.
+    inf, and each point to its own proxy is a finite assignment, so the
+    solver never finds one infeasible. The bottleneck distance searches
+    these radii; the q-Wasserstein cost matrix is these radii raised to q.
     """
     m, n = len(a), len(b)
     pa = np.array(a, dtype=float).reshape(m, 2)
@@ -233,17 +234,6 @@ def _solver() -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     return linear_sum_assignment
 
 
-def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of a minimum-cost assignment of a square cost matrix.
-
-    inf entries are edges the assignment may not use; every augmented
-    matrix has a finite assignment, each point to its own proxy and proxy
-    to proxy, so the solver never finds one infeasible. The solver is
-    scipy's linear_sum_assignment, resolved by _solver on first use.
-    """
-    return _solver()(cost)
-
-
 def _matchable_within(radii: np.ndarray, radius: float) -> bool:
     """Perfect-matching feasibility of the edges no longer than radius.
 
@@ -253,7 +243,7 @@ def _matchable_within(radii: np.ndarray, radius: float) -> bool:
     when the edges within radius hold a perfect matching.
     """
     over = radii > radius
-    rows, cols = _assign(over)
+    rows, cols = _solver()(over)
     return not over[rows, cols].any()
 
 
@@ -263,15 +253,17 @@ def _matching(
 ) -> tuple[np.ndarray, float, tuple[float, ...]] | None:
     """What both distances read from the dim-slices of a and b.
 
-    The augmented edge radii of their finite points (read-only), the
-    diagonal bound (the largest half-lifetime of any finite point, 0.0 with
-    none) and the birth gaps of their essential points; None when a and b
-    hold different numbers of essential points.
+    The augmented edge radii of their finite points (read-only), their
+    _bottleneck_radius up to the diagonal bound (the largest half-lifetime
+    of any finite point, 0.0 with none) and the birth gaps of their
+    essential points; None when a and b hold different numbers of
+    essential points.
 
     The last result is cached, keyed by the diagrams' values and by dim and
     its type, so the second distance of one pair reads the first one's
-    matrix. The cache keeps that matrix and the two diagrams alive after
-    the call; at d = 32 the matrix is 31 kB in dim 0 and 45-77 kB in dim 1.
+    matrix and radius. The cache keeps that matrix and the two diagrams
+    alive after the call; at d = 32 the matrix is 31 kB in dim 0 and
+    45-77 kB in dim 1.
     """
     gaps = _essential_gaps(a, b, dim)
     if gaps is None:
@@ -280,7 +272,7 @@ def _matching(
     ub = max(((death - birth) / 2.0 for birth, death in fin_a + fin_b), default=0.0)
     radii = _edge_radii(fin_a, fin_b)
     radii.setflags(write=False)
-    return radii, ub, gaps
+    return radii, _bottleneck_radius(radii, ub), gaps
 
 
 def _bottleneck_radius(radii: np.ndarray, ub: float) -> float:
@@ -310,18 +302,6 @@ def _bottleneck_radius(radii: np.ndarray, ub: float) -> float:
     return float(ordered[lo])
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _matching_radius(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
-    """_bottleneck_radius of the pair's _matching, which must not be None.
-
-    Cached beside _matching and keyed the same way, so the bottleneck
-    distance and a large-q Wasserstein solve of one pair search the
-    radius once between them.
-    """
-    radii, ub, _ = _matching(a, b, dim)
-    return _bottleneck_radius(radii, ub)
-
-
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     """Exact bottleneck distance between the dim-slices of two diagrams.
 
@@ -333,18 +313,8 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     matching = _matching(a, b, dim)
     if matching is None:
         return math.inf
-    _, _, gaps = matching
-    return max(_matching_radius(a, b, dim), max(gaps, default=0.0))
-
-
-def _powers_in_range(radii: np.ndarray, gaps: tuple[float, ...], q: float) -> bool:
-    """Whether every positive finite radius and gap raised to q lies in
-    (2^-1000, 2^1000): no power then overflows or underflows, and no sum
-    of fewer than 2^23 of them overflows."""
-    values = radii[(radii > 0) & np.isfinite(radii)].tolist() + [g for g in gaps if g > 0]
-    if not values:
-        return True
-    return -1000 < q * math.log2(min(values)) and q * math.log2(max(values)) < 1000
+    _, radius, gaps = matching
+    return max(radius, max(gaps, default=0.0))
 
 
 def _powered(radii: np.ndarray, scale: float, q: float) -> np.ndarray:
@@ -367,39 +337,33 @@ def wasserstein(
 
     The cost matrix is the bottleneck's augmented edge radii raised to q,
     inf marking the edges no matching may use, and an exact assignment
-    solver finds the cheapest matching; the returned distance is the q-th
-    root of its cost. Infinite points follow the same convention as the
-    bottleneck distance. q must be finite and at least 1.
+    solver finds the cheapest matching. Infinite points follow the same
+    convention as the bottleneck distance. q must be finite and at least 1.
 
-    Where a power would leave the float range (_powers_in_range), the
-    solve is anchored at the finite bottleneck radius B. Every matching
-    has an edge of at least B, and the bottleneck matching of n rows
-    costs at most n B^q, so an optimal matching uses no edge longer than
-    n^(1/q) B. The solver runs once on those edges alone, divided by B
-    before the power, so every matching costs at least 1 and no usable
-    edge more than n. The distance is then the q-norm of the matched
-    radii and the gaps, computed as their largest times the norm of them
-    divided by it. With B = 0 the finite part is 0 and nothing is solved.
+    At q = 1 the distance is that matching's cost. At any other q the solve
+    is anchored at the finite bottleneck radius B. Every matching has an
+    edge of at least B, and the bottleneck matching of n rows costs at most
+    n B^q, so an optimal matching uses no edge longer than n^(1/q) B. The
+    solver runs once on those edges alone, divided by B before the power,
+    so every matching costs at least 1 and no usable edge more than n. The
+    distance is then the q-norm of the matched radii and the gaps, computed
+    as their largest times the norm of them divided by it, never below the
+    bottleneck distance. With B = 0 the finite part is 0. B is cached with
+    the matrix, so a distance asked alone, at q = 1 too, pays its search.
     """
     if not (math.isfinite(q) and q >= 1):
         raise ValueError(f"q must be finite and >= 1, got {q}")
     matching = _matching(a, b, dim)
     if matching is None:
         return math.inf
-    radii, _, gaps = matching
+    radii, radius, gaps = matching
     if q == 1:
-        rows, cols = _assign(radii)
+        rows, cols = _solver()(radii)
         return float(radii[rows, cols].sum()) + sum(gaps)
-    if _powers_in_range(radii, gaps, q):
-        cost = _powered(radii, 1.0, q)
-        rows, cols = _assign(cost)
-        total = float(cost[rows, cols].sum()) + sum(g ** q for g in gaps)
-        return float(total ** (1.0 / q))
     matched: list[float] = []
-    radius = _matching_radius(a, b, dim)
     if radius > 0:
         usable = np.where(radii <= len(radii) ** (1.0 / q) * radius, radii, np.inf)
-        rows, cols = _assign(_powered(usable, radius, q))
+        rows, cols = _solver()(_powered(usable, radius, q))
         matched = radii[rows, cols].tolist()
     terms = [*matched, *gaps]
     top = max(terms, default=0.0)

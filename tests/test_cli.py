@@ -175,6 +175,15 @@ class TestRunCommand:
         assert "config key 'windows': must be " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_band_edge_exit_one_before_any_write(self, workdir, config_path, capsys):
+        # this band used to pass, then every cell failed beyond Nyquist
+        # after model_full.json and report.json were written
+        out = workdir / "run_infinite_band"
+        assert run("run", "--config", config_path, "--out-dir", out,
+                   "--band", "b:0.1:inf") == 1
+        assert "band 'b' needs 0 <= low < high < inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -234,6 +243,7 @@ class TestMalformedConfig:
             ("bands", {"a": 5}),
             ("bands", {"a": [True, 2]}),
             ("bands", {"a": ["x", 2]}),
+            ("bands", {"a": [0.1, math.inf]}),
             ("fs_hz", None),
             ("order", "x"),
             ("standardize", "false"),
@@ -256,7 +266,7 @@ class TestMalformedConfig:
             ("wasserstein_q", float("nan")),
         ],
         ids=["windows-list", "span-one-number", "span-three-numbers", "band-number",
-             "band-edge-bool", "band-edge-text",
+             "band-edge-bool", "band-edge-text", "band-edge-inf",
              "fs_hz-null", "order-text", "standardize-text", "order-float",
              "n_grid-float", "max_dim-float", "select_k_max-float", "fs_hz-bool",
              "input-null", "criterion-unknown", "order-0", "n_grid-0",
@@ -322,6 +332,35 @@ class TestArgErrors:
         assert run("persist", "--decomp", workdir / "absent.json",
                    "--out", workdir / "x.json") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            ("null", ["run", "--config", "{doc}"], "got null"),
+            ("[]", ["run", "--config", "{doc}", "--input", "x.csv"], "got list"),
+            ("[]", ["landscape", "--diagram", "{doc}", "--dim", "1", "--out", "{out}"],
+             "got list"),
+            ('{"pairs": [1, 2]}',
+             ["landscape", "--diagram", "{doc}", "--dim", "1", "--out", "{out}"],
+             "diagram pair 0: must be an object, got 1"),
+            ('{"pairs": 5}', ["compare", "--a", "{doc}", "--b", "{doc}", "--dim", "1",
+                              "--out", "{out}"], "diagram pairs must be a list, got int"),
+            ("[]", ["pdc", "--model", "{doc}", "--band", "alpha", "--fs", "100",
+                    "--out", "{out}"], "got list"),
+            ("null", ["decompose", "--network", "{doc}", "--out", "{out}"], "got null"),
+        ],
+        ids=["run-null", "run-list", "landscape-list", "landscape-pair-numbers",
+             "compare-pairs-number", "pdc-list", "decompose-null"],
+    )
+    def test_json_of_wrong_shape_exit_one(self, tmp_path, capsys, text, argv, message):
+        # each of these used to end on a TypeError traceback
+        doc, out = tmp_path / "doc.json", tmp_path / "out.json"
+        doc.write_text(text)
+        assert run(*(arg.format(doc=doc, out=out) for arg in argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("q", ["inf", "nan"])
     def test_compare_refuses_non_finite_q(self, tmp_path, capsys, q):

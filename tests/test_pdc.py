@@ -213,8 +213,10 @@ class TestFrequencyBand:
         assert spans["gamma"] == (30.0, 50.0)
 
     def test_inverted_band_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyBand("bad", 10.0, 10.0)
+        # an infinite high edge lies past every Nyquist frequency
+        for low, high in [(10.0, 10.0), (0.1, math.inf)]:
+            with pytest.raises(ValueError, match="needs 0 <= low < high < inf"):
+                FrequencyBand("bad", low, high)
 
 
 class TestDirectedNetwork:
