@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, NoReturn
+from typing import Any, Callable, NoReturn
 
 from .decomp import (
     asym_distance,
@@ -54,6 +54,14 @@ from .var import (
 __all__ = ["main"]
 
 
+def _fields(text: str, form: str) -> list[str]:
+    """text split at ':' into as many fields as form, say NAME:LOW:HIGH, has."""
+    fields = text.split(":")
+    if len(fields) != form.count(":") + 1:
+        raise ValueError(f"expected {form}, got {text!r}")
+    return fields
+
+
 def _parse_band(text: str) -> FrequencyBand:
     """Either a default band name (alpha) or name:low:high in Hz."""
     if ":" not in text:
@@ -62,59 +70,33 @@ def _parse_band(text: str) -> FrequencyBand:
                 return band
         names = ", ".join(b.name for b in DEFAULT_BANDS)
         raise ValueError(f"unknown band {text!r}; known bands: {names}")
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected NAME:LOW:HIGH, got {text!r}")
-    return FrequencyBand(parts[0], float(parts[1]), float(parts[2]))
-
-
-def _parse_span(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"expected START:END in seconds, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    name, low, high = _fields(text, "NAME:LOW:HIGH")
+    return FrequencyBand(name, float(low), float(high))
 
 
 def _parse_window(text: str) -> tuple[str, float, float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected NAME:START:END in seconds, got {text!r}")
-    return parts[0], float(parts[1]), float(parts[2])
+    name, start, end = _fields(text, "NAME:START:END in seconds")
+    return name, float(start), float(end)
 
 
-def _named_doc(flag: str, spans: list[tuple[str, float, float]]) -> dict[str, list[float]]:
-    """{name: [lo, hi]} of repeated flag values; a name given twice is an error."""
+def _named_doc(flag: str, parse: Callable, specs: list[str]) -> dict[str, list[float]]:
+    """{name: [lo, hi]} of repeated flag values, each parsed into (name, lo,
+    hi); a name given twice is an error."""
     doc: dict[str, list[float]] = {}
-    for name, lo, hi in spans:
+    for spec in specs:
+        name, lo, hi = parse(spec)
         if name in doc:
             raise ValueError(f"{flag}: name {name!r} given more than once")
         doc[name] = [lo, hi]
     return doc
 
 
-def _windows_doc(specs: list[str]) -> dict[str, list[float]]:
-    return _named_doc("--window", [_parse_window(spec) for spec in specs])
-
-
-def _bands_doc(specs: list[str]) -> dict[str, list[float]]:
-    bands = map(_parse_band, specs)
-    return _named_doc("--band", [(band.name, band.low_hz, band.high_hz) for band in bands])
-
-
 # every run flag's dest is the config key it overrides; these two flags'
-# values are converted to that key's JSON form, the others are taken as is
-_RUN_OVERRIDES = {"windows": _windows_doc, "bands": _bands_doc}
-
-
-def _load_window(args: argparse.Namespace):
-    """Shared ingest path for fit: load, optional window cut, optional z-score."""
-    series = load_series(args.input, args.fs)
-    if args.window is not None:
-        lo, hi = _parse_span(args.window)
-        series = segment(series, lo, hi)
-    if not args.no_standardize:
-        series = standardize(series)
-    return series
+# values go to _named_doc with their flag and parser, the others as they are
+_RUN_OVERRIDES = {
+    "windows": ("--window", _parse_window),
+    "bands": ("--band", lambda text: ((b := _parse_band(text)).name, b.low_hz, b.high_hz)),
+}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -125,7 +107,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    series = _load_window(args)
+    series = load_series(args.input, args.fs)
+    if args.window is not None:
+        start, end = _fields(args.window, "START:END in seconds")
+        series = segment(series, float(start), float(end))
+    if not args.no_standardize:
+        series = standardize(series)
     if args.select_k_max is not None:
         order = select_order(series, args.select_k_max, OrderCriterion(args.criterion))
     else:
@@ -187,7 +174,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for key in sorted(CONFIG_KEYS):
         value = getattr(args, key, None)
         if value is not None:
-            doc[key] = _RUN_OVERRIDES[key](value) if key in _RUN_OVERRIDES else value
+            doc[key] = _named_doc(*_RUN_OVERRIDES[key], value) if key in _RUN_OVERRIDES else value
 
     report = run_pipeline(PipelineConfig.from_dict(doc))
     if not report.failures:
@@ -199,19 +186,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 2 if report.n_succeeded > 0 else 1
-
-
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="input CSV path")
-    parser.add_argument("--fs", type=float, required=True, help="sampling rate in Hz")
-    parser.add_argument("--window", default=None, metavar="START:END",
-                        help="restrict to a time window in seconds")
-    parser.add_argument("--no-standardize", action="store_true",
-                        help="skip per-channel z-scoring")
-    parser.add_argument("--order", type=int, default=5, help="VAR order K")
-    parser.add_argument("--select-k-max", type=int, default=None, dest="select_k_max",
-                        help="choose the order in 1..K_MAX by criterion instead")
-    parser.add_argument("--criterion", choices=["aic", "bic"], default="bic")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,7 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a VAR model to a CSV series")
-    _add_fit_flags(p)
+    p.add_argument("--input", required=True, help="input CSV path")
+    p.add_argument("--fs", type=float, required=True, help="sampling rate in Hz")
+    p.add_argument("--window", default=None, metavar="START:END",
+                   help="restrict to a time window in seconds")
+    p.add_argument("--no-standardize", action="store_true", help="skip per-channel z-scoring")
+    p.add_argument("--order", type=int, default=5, help="VAR order K")
+    p.add_argument("--select-k-max", type=int, default=None, dest="select_k_max",
+                   help="choose the order in 1..K_MAX by criterion instead")
+    p.add_argument("--criterion", choices=["aic", "bic"], default="bic")
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=_cmd_fit)
 

@@ -283,20 +283,27 @@ def diagram_to_dict(diagram: PersistenceDiagram) -> dict[str, Any]:
 
 def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
     """Inverse of diagram_to_dict: "inf" becomes math.inf, and every birth
-    and death a float. pairs must be a list of objects; PersistenceDiagram
-    checks the pairs."""
+    and death a float. pairs must be a list of objects, and a birth or death
+    of a type float() refuses, such as null, is an error naming it;
+    PersistenceDiagram checks the pairs."""
     pairs = doc["pairs"]
     if not isinstance(pairs, list):
         raise ValueError(f"diagram pairs must be a list, got {type(pairs).__name__}")
+
+    def number(i: int, key: str, value: Any) -> float:
+        try:
+            return float(value)
+        except TypeError:
+            raise ValueError(f"diagram pair {i}: {key} must be a number, got {value!r}") from None
+
+    out = []
     for i, p in enumerate(pairs):
         if not isinstance(p, dict):
             raise ValueError(f"diagram pair {i}: must be an object, got {p!r}")
-    return PersistenceDiagram(
-        tuple(
-            (p["dim"], float(p["birth"]), math.inf if p["death"] == "inf" else float(p["death"]))
-            for p in pairs
-        )
-    )
+        birth = number(i, "birth", p["birth"])
+        death = math.inf if p["death"] == "inf" else number(i, "death", p["death"])
+        out.append((p["dim"], birth, death))
+    return PersistenceDiagram(tuple(out))
 
 
 def save_diagram(diagram: PersistenceDiagram, path: str) -> None:

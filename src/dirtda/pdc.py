@@ -145,10 +145,9 @@ def pdc_band(
         omegas = [0.5 * (lo + hi)]
     else:
         omegas = np.linspace(lo, hi, n_grid).tolist()
-    acc = np.zeros((model.n_channels, model.n_channels))
-    for mat in _pdc(model, omegas):  # summed in grid order, one matrix at a time
-        acc += mat
-    weights = acc / len(omegas)
+    # summed in grid order, one matrix at a time: a pairwise .mean(axis=0)
+    # gives different bits
+    weights = sum(_pdc(model, omegas)) / len(omegas)
     if labels is None:
         labels = default_labels(model.n_channels)
     # averaging magnitudes in [0, 1] can graze 1.0 from above only by rounding
@@ -168,8 +167,15 @@ def network_to_dict(net: DirectedNetwork) -> dict[str, Any]:
     }
 
 
-def network_from_dict(doc: dict[str, Any]) -> DirectedNetwork:
-    band = FrequencyBand(
-        doc["band"]["name"], float(doc["band"]["low_hz"]), float(doc["band"]["high_hz"])
-    )
-    return DirectedNetwork(np.array(doc["w"], dtype=float), band, tuple(doc["labels"]))
+def network_from_dict(doc: Any) -> DirectedNetwork:
+    """Inverse of network_to_dict. The document and its band must be
+    objects and labels a list; DirectedNetwork checks the weights."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"network must be an object, got {type(doc).__name__}")
+    band, labels = doc["band"], doc["labels"]
+    if not isinstance(band, dict):
+        raise ValueError(f"network band must be an object, got {type(band).__name__}")
+    if not isinstance(labels, list):
+        raise ValueError(f"network labels must be a list, got {type(labels).__name__}")
+    band = FrequencyBand(band["name"], float(band["low_hz"]), float(band["high_hz"]))
+    return DirectedNetwork(np.array(doc["w"], dtype=float), band, tuple(labels))

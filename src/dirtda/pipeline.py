@@ -163,10 +163,10 @@ class PipelineConfig:
 
     Every field's type and range is checked when the config is built, then
     its names: window names and band names must each be distinct and hold
-    only characters that XML 1.0 allows, and no two cells may write the
-    same file. A failing check raises ValueError naming the config key,
-    before any file is written. sampling_rate_hz and wasserstein_q are
-    stored as floats.
+    only characters that XML 1.0 allows, window names may not hold '|', and
+    no two cells may write the same file. A failing check raises ValueError
+    naming the config key, before any file is written. sampling_rate_hz and
+    wasserstein_q are stored as floats.
     """
 
     input_path: str
@@ -199,6 +199,13 @@ class PipelineConfig:
                     raise ValueError(
                         f"config key {key!r}: name {name!r} holds a character XML cannot hold"
                     )
+        # a window pair's distances and failures are keyed "a|b"
+        for name in window_names:
+            if "|" in name:
+                raise ValueError(
+                    f"config key 'windows': name {name!r} holds '|', which joins "
+                    "the two names of a window pair"
+                )
         _check_artifact_names(window_names, band_names)
 
     @staticmethod

@@ -14,6 +14,7 @@ with every grid point.
 from __future__ import annotations
 
 import html
+import itertools
 import math
 
 import numpy as np
@@ -51,17 +52,9 @@ def _grouped(items: list[tuple[str | None, str]]) -> list[str]:
     consecutive elements with one shared attribute string goes in a <g>
     that states those attributes once, and None shares nothing."""
     parts: list[str] = []
-    shared = None
-    for attrs, element in items:
-        if attrs != shared:
-            if shared is not None:
-                parts.append("</g>")
-            if attrs is not None:
-                parts.append(f"<g {attrs}>")
-            shared = attrs
-        parts.append(element)
-    if shared is not None:
-        parts.append("</g>")
+    for attrs, run in itertools.groupby(items, key=lambda item: item[0]):
+        elements = [element for _, element in run]
+        parts += elements if attrs is None else [f"<g {attrs}>", *elements, "</g>"]
     return parts
 
 

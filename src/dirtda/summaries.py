@@ -19,6 +19,7 @@ importing this module loads no scipy and a distance loads one scipy module.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import importlib.machinery
 import importlib.util
@@ -192,12 +193,9 @@ def _lsap_file() -> str | None:
     spec = importlib.util.find_spec("scipy")
     if spec is None or spec.submodule_search_locations is None:
         return None
-    for root in spec.submodule_search_locations:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_lsap" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
+    roots = [os.path.join(root, "optimize") for root in spec.submodule_search_locations]
+    found = importlib.machinery.PathFinder.find_spec("_lsap", roots)
+    return None if found is None else found.origin
 
 
 @functools.cache
@@ -291,15 +289,12 @@ def _bottleneck_radius(radii: np.ndarray, ub: float) -> float:
         raise AssertionError("the diagonal bound must be feasible")
     # smallest feasible radius in (lb, ub]; feasibility is monotone in the
     # radius, and ub is an edge radius, so the last candidate is feasible
+    # and goes unprobed
     ordered = np.unique(radii[(radii > lb) & (radii <= ub)])
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _matchable_within(radii, ordered[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(ordered[lo])
+    first = bisect.bisect_left(
+        ordered, True, 0, len(ordered) - 1, key=lambda r: _matchable_within(radii, r)
+    )
+    return float(ordered[first])
 
 
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:

@@ -157,8 +157,8 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
         r = np.linalg.qr(_lag_design(x, k), mode="r")
         _check_condition(np.linalg.svd(r[:p, :p], compute_uv=False))
     beta = _back_substitute(r[:p, :p], r[:p, p:])
-    # drop the intercept row; reshape the rest into (k, d, d)
-    coeffs = np.stack([beta[1 + lag * d : 1 + (lag + 1) * d].T for lag in range(k)])
+    # drop the intercept row; lag j's rows of beta are Phi_j transposed
+    coeffs = beta[1:].reshape(k, d, d).transpose(0, 2, 1)
     tail = r[p:, p:]
     sigma = np.einsum("ij,ik->jk", tail, tail) / (t - k)
     sigma = 0.5 * (sigma + sigma.T)
@@ -327,7 +327,7 @@ def var_model_from_dict(doc: dict[str, Any]) -> VarModel:
     model = VarModel(coeffs, sigma)
     if model.order_k != doc["k"] or model.n_channels != doc["d"]:
         raise ValueError(
-            f"declared (k={doc['k']}, d={doc['d']}) does not match "
+            f"declared (k={doc['k']!r}, d={doc['d']!r}) does not match "
             f"coeffs shape {coeffs.shape}"
         )
     return model

@@ -184,6 +184,13 @@ class TestRunCommand:
         assert "band 'b' needs 0 <= low < high < inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_window_name_holding_bar_exit_one_before_any_write(self, workdir, config_path, capsys):
+        out = workdir / "run_bar"
+        assert run("run", "--config", config_path, "--out-dir", out,
+                   "--window", "a|b:0:1500") == 1
+        assert "config key 'windows': name 'a|b' holds '|'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -348,12 +355,32 @@ class TestArgErrors:
             ("[]", ["pdc", "--model", "{doc}", "--band", "alpha", "--fs", "100",
                     "--out", "{out}"], "got list"),
             ("null", ["decompose", "--network", "{doc}", "--out", "{out}"], "got null"),
+            ('{"pairs": [{"dim": 1, "birth": null, "death": 1}]}',
+             ["landscape", "--diagram", "{doc}", "--dim", "1", "--out", "{out}"],
+             "diagram pair 0: birth must be a number, got None"),
+            ('{"pairs": [{"dim": 1, "birth": 0, "death": [1]}]}',
+             ["landscape", "--diagram", "{doc}", "--dim", "1", "--out", "{out}"],
+             "diagram pair 0: death must be a number, got [1]"),
+            ('{"band": 5, "w": 1, "labels": 1}',
+             ["decompose", "--network", "{doc}", "--out", "{out}"],
+             "network band must be an object, got int"),
+            ('{"band": {"name": "b", "low_hz": 1, "high_hz": 2}, "w": [[0]], "labels": 1}',
+             ["decompose", "--network", "{doc}", "--out", "{out}"],
+             "network labels must be a list, got int"),
+            ('{"source": 5}', ["persist", "--decomp", "{doc}", "--out", "{out}"],
+             "network must be an object, got int"),
+            ('{"k": "1", "d": 1, "coeffs": [[[0.5]]], "sigma": [[1]]}',
+             ["pdc", "--model", "{doc}", "--band", "b:1:2", "--fs", "100", "--out", "{out}"],
+             "declared (k='1', d=1) does not match"),
         ],
         ids=["run-null", "run-list", "landscape-list", "landscape-pair-numbers",
-             "compare-pairs-number", "pdc-list", "decompose-null"],
+             "compare-pairs-number", "pdc-list", "decompose-null", "landscape-birth-null",
+             "landscape-death-list", "decompose-band-number", "decompose-labels-number",
+             "persist-source-number", "pdc-k-string"],
     )
     def test_json_of_wrong_shape_exit_one(self, tmp_path, capsys, text, argv, message):
-        # each of these used to end on a TypeError traceback
+        # each of these used to end on a TypeError traceback, or on a message
+        # that read as a contradiction (k=1 against shape (1, 1, 1))
         doc, out = tmp_path / "doc.json", tmp_path / "out.json"
         doc.write_text(text)
         assert run(*(arg.format(doc=doc, out=out) for arg in argv)) == 1

@@ -314,6 +314,17 @@ class TestRunPipeline:
             run_pipeline(config(series_csv, str(out), windows=windows, bands=bands))
         assert not out.exists()
 
+    def test_window_name_holding_bar_rejected_before_any_write(self, series_csv, tmp_path):
+        # the pairs ("a|b", "c") and ("a", "b|c") used to share the distance
+        # key "a|b|c", and the second overwrote the first without a failure
+        out = tmp_path / "out"
+        windows = (("a|b", 0.0, 400.0), ("c", 400.0, 800.0),
+                   ("a", 800.0, 1200.0), ("b|c", 1200.0, 1600.0))
+        message = re.escape("config key 'windows': name 'a|b' holds '|'")
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(config(series_csv, str(out), windows=windows))
+        assert not out.exists()
+
     def test_distance_failure_isolated_to_its_pair(self, series_csv, tmp_path, monkeypatch):
         import dirtda.pipeline
 

@@ -370,6 +370,14 @@ class TestBottleneck:
         # the lower bound, then the diagonal bound; no edge radius lies between
         assert probes == [0.10000000000000009, 1.0]
 
+    def test_search_probes_candidates_in_binary_search_order(self, probes):
+        # lb = 1.0 fails and ub = 4.0 holds; the candidates in (lb, ub] are
+        # 1.5, 2.0, ..., 4.0, and the search halves them from both sides
+        a = diagram([(1, 3.0, 9.0), (1, 3.0, 11.0), (1, 5.0, 10.0), (1, 7.0, 10.0)])
+        b = diagram([(1, 3.0, 10.0), (1, 6.0, 9.0)])
+        assert bottleneck(a, b, 1) == 3.0
+        assert probes == [1.0, 4.0, 2.5, 3.5, 3.0]
+
     def test_feasible_lower_bound_needs_one_matching(self, probes):
         a = diagram([(1, 0.0, 2.0)])
         b = diagram([(1, 0.5, 2.5)])
