@@ -14,6 +14,7 @@ from typing import Any
 
 import numpy as np
 
+from .jsonio import float_array_field
 from .pdc import DirectedNetwork, network_from_dict, network_to_dict
 
 __all__ = [
@@ -105,7 +106,7 @@ def decomposition_to_dict(dec: NetworkDecomposition) -> dict[str, Any]:
 def decomposition_from_dict(doc: dict[str, Any]) -> NetworkDecomposition:
     dec = decompose(network_from_dict(doc["source"]))
     for key, have in (("w_s", dec.w_s), ("w_a", dec.w_a)):
-        stored = np.array(doc[key], dtype=float)
+        stored = float_array_field(doc[key], f"decomposition {key}")
         if stored.shape != have.shape or not np.allclose(stored, have, atol=1e-12):
             raise ValueError(f"stored {key} disagrees with the source network")
     return dec

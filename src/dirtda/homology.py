@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .decomp import DistanceMatrix
-from .jsonio import read_json, write_json
+from .jsonio import float_field, read_json, write_json
 
 __all__ = [
     "Filtration",
@@ -289,19 +289,13 @@ def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
     pairs = doc["pairs"]
     if not isinstance(pairs, list):
         raise ValueError(f"diagram pairs must be a list, got {type(pairs).__name__}")
-
-    def number(i: int, key: str, value: Any) -> float:
-        try:
-            return float(value)
-        except TypeError:
-            raise ValueError(f"diagram pair {i}: {key} must be a number, got {value!r}") from None
-
     out = []
     for i, p in enumerate(pairs):
         if not isinstance(p, dict):
             raise ValueError(f"diagram pair {i}: must be an object, got {p!r}")
-        birth = number(i, "birth", p["birth"])
-        death = math.inf if p["death"] == "inf" else number(i, "death", p["death"])
+        what = f"diagram pair {i}"
+        birth = float_field(p["birth"], f"{what}: birth")
+        death = math.inf if p["death"] == "inf" else float_field(p["death"], f"{what}: death")
         out.append((p["dim"], birth, death))
     return PersistenceDiagram(tuple(out))
 

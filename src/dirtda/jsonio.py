@@ -1,6 +1,8 @@
 """Artifact files: the one JSON format of every artifact (compact, sorted
 keys, floats as repr, one trailing newline), the atomic write that every
-artifact goes through, and the reader, which refuses a repeated key."""
+artifact goes through, the reader, which refuses a repeated key, and the
+conversions of a read field to floats, which name a field of the wrong
+type."""
 
 from __future__ import annotations
 
@@ -9,7 +11,9 @@ import os
 from contextlib import contextmanager
 from typing import Any, Iterator, TextIO
 
-__all__ = ["open_atomic", "write_json", "read_json"]
+import numpy as np
+
+__all__ = ["open_atomic", "write_json", "read_json", "float_field", "float_array_field"]
 
 
 @contextmanager
@@ -56,3 +60,21 @@ def read_json(path: str) -> dict[str, Any]:
         kind = "null" if doc is None else type(doc).__name__
         raise ValueError(f"{path}: expected a JSON object at the top level, got {kind}")
     return doc
+
+
+def float_field(value: Any, what: str) -> float:
+    """float(value); a value float() refuses for its type, such as null or
+    a list, raises ValueError naming the field what."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def float_array_field(value: Any, what: str) -> np.ndarray:
+    """value as a float array; a value numpy refuses for its type, such as
+    an object anywhere in it, raises ValueError naming the field what."""
+    try:
+        return np.array(value, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be an array of numbers: {exc}") from None

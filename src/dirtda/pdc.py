@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from .ingest import default_labels
+from .jsonio import float_array_field, float_field
 from .var import VarModel
 
 __all__ = [
@@ -169,7 +170,8 @@ def network_to_dict(net: DirectedNetwork) -> dict[str, Any]:
 
 def network_from_dict(doc: Any) -> DirectedNetwork:
     """Inverse of network_to_dict. The document and its band must be
-    objects and labels a list; DirectedNetwork checks the weights."""
+    objects, labels a list, the band edges numbers and w an array of them,
+    or ValueError names the field; DirectedNetwork checks the weights."""
     if not isinstance(doc, dict):
         raise ValueError(f"network must be an object, got {type(doc).__name__}")
     band, labels = doc["band"], doc["labels"]
@@ -177,5 +179,6 @@ def network_from_dict(doc: Any) -> DirectedNetwork:
         raise ValueError(f"network band must be an object, got {type(band).__name__}")
     if not isinstance(labels, list):
         raise ValueError(f"network labels must be a list, got {type(labels).__name__}")
-    band = FrequencyBand(band["name"], float(band["low_hz"]), float(band["high_hz"]))
-    return DirectedNetwork(np.array(doc["w"], dtype=float), band, tuple(labels))
+    edges = (float_field(band[key], f"network band {key}") for key in ("low_hz", "high_hz"))
+    band = FrequencyBand(band["name"], *edges)
+    return DirectedNetwork(float_array_field(doc["w"], "network w"), band, tuple(labels))

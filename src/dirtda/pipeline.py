@@ -25,12 +25,18 @@ neither gets a file of its own.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
+
+import numpy as np
 
 from .decomp import asym_distance, decompose
 from .homology import (
@@ -340,6 +346,75 @@ def _listed_artifacts(out_dir: str) -> list[str]:
     ]
 
 
+# OpenBLAS's thread-count functions, (get, set), in the order they are
+# looked up: the scipy-openblas build that numpy's PyPI wheels ship, with
+# the 64- then the 32-bit integer interface, then a plain OpenBLAS
+_BLAS_THREAD_NAMES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_hook() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """OpenBLAS's (get, set) thread-count functions in numpy's BLAS, or None
+    where that BLAS exports neither pair, as MKL, Accelerate and Windows
+    builds do not."""
+    try:
+        # dlsym on numpy's core extension also searches the libraries it
+        # loaded, its BLAS among them
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _BLAS_THREAD_NAMES:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# the BLAS thread count is one per process, so the scopes open in it share
+# one depth, and the count the outermost of them found
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """numpy's BLAS on one thread inside the block, the caller's count after.
+
+    Scopes may nest or be open in several threads at once: the first to
+    open sets the count to 1, and the last to close puts back the count the
+    first found. Where _blas_thread_hook finds nothing, this does nothing.
+    """
+    global _blas_depth, _blas_saved
+    hook = _blas_thread_hook()
+    if hook is None:
+        yield
+        return
+    get, set_ = hook
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
+
+
+@_one_blas_thread()
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     """Execute the full analysis and write all artifacts under out_dir.
 
@@ -349,6 +424,15 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     Files that a report.json already in out_dir lists, and that this run
     does not write, are removed before the new report is written, so
     out_dir never holds results of an earlier config that look current.
+
+    For the length of the call numpy's BLAS runs on one thread, so a window
+    whose fit falls back to QR gives the same bytes at any thread count the
+    caller set; the caller's count is back when the call returns or raises,
+    and calls nested or made from several threads at once restore it once.
+    This holds where numpy's BLAS is an OpenBLAS that exports its
+    thread-count functions, as in numpy's PyPI wheels for Linux; elsewhere
+    the call runs at the caller's BLAS settings. fit_var, select_order and
+    the stage commands, called on their own, always do.
     """
     report = AnalysisReport(config)
     previous = _listed_artifacts(config.out_dir)

@@ -22,6 +22,7 @@ from typing import Any
 import numpy as np
 
 from .ingest import MultivariateSeries
+from .jsonio import float_array_field
 
 __all__ = [
     "VarModel",
@@ -322,8 +323,8 @@ def var_model_to_dict(model: VarModel) -> dict[str, Any]:
 
 
 def var_model_from_dict(doc: dict[str, Any]) -> VarModel:
-    coeffs = np.array(doc["coeffs"], dtype=float)
-    sigma = np.array(doc["sigma"], dtype=float)
+    coeffs = float_array_field(doc["coeffs"], "model coeffs")
+    sigma = float_array_field(doc["sigma"], "model sigma")
     model = VarModel(coeffs, sigma)
     if model.order_k != doc["k"] or model.n_channels != doc["d"]:
         raise ValueError(

@@ -372,11 +372,25 @@ class TestArgErrors:
             ('{"k": "1", "d": 1, "coeffs": [[[0.5]]], "sigma": [[1]]}',
              ["pdc", "--model", "{doc}", "--band", "b:1:2", "--fs", "100", "--out", "{out}"],
              "declared (k='1', d=1) does not match"),
+            ('{"band": {"name": "b", "low_hz": null, "high_hz": 2}, "w": [[0]], "labels": ["a"]}',
+             ["decompose", "--network", "{doc}", "--out", "{out}"],
+             "network band low_hz must be a number, got None"),
+            ('{"band": {"name": "b", "low_hz": 1, "high_hz": 2}, "w": {}, "labels": ["a"]}',
+             ["decompose", "--network", "{doc}", "--out", "{out}"],
+             "network w must be an array of numbers"),
+            ('{"source": {"band": {"name": "b", "low_hz": 1, "high_hz": 2}, "w": [[0]],'
+             ' "labels": ["a"]}, "w_s": {}, "w_a": [[0]]}',
+             ["persist", "--decomp", "{doc}", "--out", "{out}"],
+             "decomposition w_s must be an array of numbers"),
+            ('{"k": 1, "d": 1, "coeffs": {}, "sigma": [[1]]}',
+             ["pdc", "--model", "{doc}", "--band", "b:1:2", "--fs", "100", "--out", "{out}"],
+             "model coeffs must be an array of numbers"),
         ],
         ids=["run-null", "run-list", "landscape-list", "landscape-pair-numbers",
              "compare-pairs-number", "pdc-list", "decompose-null", "landscape-birth-null",
              "landscape-death-list", "decompose-band-number", "decompose-labels-number",
-             "persist-source-number", "pdc-k-string"],
+             "persist-source-number", "pdc-k-string", "decompose-low-hz-null",
+             "decompose-w-object", "persist-w-s-object", "pdc-coeffs-object"],
     )
     def test_json_of_wrong_shape_exit_one(self, tmp_path, capsys, text, argv, message):
         # each of these used to end on a TypeError traceback, or on a message

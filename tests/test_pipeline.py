@@ -2,6 +2,9 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -29,12 +32,14 @@ from dirtda import (
     standardize,
     system_two,
 )
+import dirtda
+from dirtda import pipeline
 from dirtda.cli import main
 from dirtda.jsonio import read_json
 from dirtda.pdc import network_from_dict
 from dirtda.pipeline import CONFIG_KEYS
 from dirtda.summaries import landscape_from_dict
-from dirtda.var import OrderCriterion
+from dirtda.var import OrderCriterion, _gram_factor, _lagged_gram
 
 
 @pytest.fixture(scope="module")
@@ -503,3 +508,147 @@ class TestArtifactContract:
         (out / "report.json").write_text(planted, encoding="utf-8")
         report = run_pipeline(config(series_csv, str(out)))
         assert read_json(str(out / "report.json"))["artifacts"] == sorted(report.artifacts[:-1])
+
+
+needs_blas_hook = pytest.mark.skipif(
+    pipeline._blas_thread_hook() is None,
+    reason="numpy's BLAS exports no OpenBLAS thread-count functions, so a run "
+    "keeps the caller's BLAS settings",
+)
+
+# runs the config given as JSON and prints each file of out_dir with its sha256
+_RUN_AND_HASH = """
+import hashlib, json, os, sys
+from dirtda import PipelineConfig, run_pipeline
+config = PipelineConfig.from_dict(json.loads(sys.argv[1]))
+run_pipeline(config)
+for name in sorted(os.listdir(config.out_dir)):
+    with open(os.path.join(config.out_dir, name), "rb") as handle:
+        print(name, hashlib.sha256(handle.read()).hexdigest())
+"""
+
+
+@needs_blas_hook
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas(self):
+        """OpenBLAS's (get, set), with the count put back after the test."""
+        get, set_ = pipeline._blas_thread_hook()
+        before = get()
+        yield get, set_
+        set_(before)
+
+    def test_qr_fallback_window_same_bytes_at_any_thread_count(self, tmp_path):
+        # channel 31 nearly repeats channel 0, so the window's Gram factor is
+        # too ill-conditioned and the fit takes the QR of the design, whose
+        # bits moved with the BLAS thread count at this width
+        x = np.random.default_rng(0).standard_normal((4000, 32))
+        x[1:] += 0.5 * x[:-1]
+        x[:, 31] = x[:, 0] + 1e-4 * np.random.default_rng(1).standard_normal(4000)
+        path = str(tmp_path / "wide.csv")
+        np.savetxt(path, x, delimiter=",")
+        window = standardize(load_series(path, 100.0)).samples
+        assert _gram_factor(_lagged_gram(window, 3)) is None
+        doc = {"input": path, "fs_hz": 100.0, "out_dir": str(tmp_path / "out"), "order": 3,
+               "max_dim": 1, "bands": {"beta": [12.0, 30.0]}}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dirtda.__file__)))
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", _RUN_AND_HASH, json.dumps(doc)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            hashes.append(done.stdout.splitlines())
+        # model, network, diagram and its plot, two landscape plots, report
+        assert len(hashes[0]) == 7
+        assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("threads", [2, 1])
+    def test_run_on_one_thread_then_caller_count_back(
+        self, series_csv, tmp_path, monkeypatch, blas, threads
+    ):
+        get, set_ = blas
+        seen = []
+
+        def fit(*args):
+            seen.append(get())
+            return fit_var(*args)
+
+        monkeypatch.setattr(pipeline, "fit_var", fit)
+        set_(threads)
+        run_pipeline(config(series_csv, str(tmp_path / "out")))
+        assert seen == [1, 1]
+        assert get() == threads
+
+    def test_caller_count_back_after_a_run_raises(self, tmp_path, blas):
+        get, set_ = blas
+        set_(2)
+        with pytest.raises(FileNotFoundError):
+            run_pipeline(PipelineConfig(str(tmp_path / "missing.csv"), 1.0, str(tmp_path)))
+        assert get() == 2
+
+    def test_two_runs_at_once_leave_the_count_as_found(
+        self, series_csv, tmp_path, monkeypatch, blas
+    ):
+        # "first" opens its scope, "second" opens its own while "first" is
+        # inside, and "second" closes last: the count it found on entry was 1
+        get, set_ = blas
+        inside = {"first": threading.Event(), "second": threading.Event()}
+        first_done = threading.Event()
+        seen = []
+
+        def fit(*args):
+            name = threading.current_thread().name
+            seen.append(get())
+            if not inside[name].is_set():
+                inside[name].set()
+                (inside["second"] if name == "first" else first_done).wait(60)
+            return fit_var(*args)
+
+        def run(name):
+            run_pipeline(config(series_csv, str(tmp_path / name)))
+            if name == "first":
+                first_done.set()
+
+        monkeypatch.setattr(pipeline, "fit_var", fit)
+        set_(2)
+        threads = {name: threading.Thread(target=run, args=(name,), name=name) for name in inside}
+        threads["first"].start()
+        assert inside["first"].wait(60)
+        threads["second"].start()
+        for thread in threads.values():
+            thread.join(120)
+            assert not thread.is_alive()
+        assert first_done.is_set() and os.path.exists(tmp_path / "second" / "report.json")
+        assert seen == [1] * 4
+        assert get() == 2
+
+    def test_scopes_in_many_threads_keep_one_thread_inside(self, blas):
+        # more threads than cores and a short switch interval, so scopes open
+        # and close interleaved; a lost update of the shared depth would let
+        # one scope's exit restore the count while another is still open
+        get, set_ = blas
+        set_(2)
+        counts = []
+
+        def enter_and_leave():
+            for _ in range(5000):
+                with pipeline._one_blas_thread():
+                    counts.append(get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_and_leave) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [1] * 30000
+        assert get() == 2 and pipeline._blas_depth == 0
