@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .decomp import DistanceMatrix
-from .jsonio import float_field, read_json, write_json
+from .jsonio import float_field, is_int, read_json, write_json
 
 __all__ = [
     "Filtration",
@@ -89,7 +89,7 @@ class PersistenceDiagram:
 
     def __post_init__(self) -> None:
         for i, (dim, birth, death) in enumerate(self.pairs):
-            if not _is_dim(dim):
+            if not (is_int(dim) and dim >= 0):
                 raise ValueError(
                     f"diagram pair {i}: dim must be a non-negative integer, got {dim!r}"
                 )
@@ -104,14 +104,9 @@ class PersistenceDiagram:
     def in_dim(self, dim: int) -> tuple[tuple[float, float], ...]:
         """(birth, death) of the pairs in dimension dim, a non-negative int;
         a dimension above every pair's is empty."""
-        if not _is_dim(dim):
+        if not (is_int(dim) and dim >= 0):
             raise ValueError(f"dim must be a non-negative integer, got {dim!r}")
         return tuple((b, d) for k, b, d in self.pairs if k == dim)
-
-
-def _is_dim(value: Any) -> bool:
-    """A homology dimension: a non-negative int, and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def rips_filtration(dm: DistanceMatrix, max_dim: int = 2) -> Filtration:

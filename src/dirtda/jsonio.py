@@ -1,8 +1,8 @@
 """Artifact files: the one JSON format of every artifact (compact, sorted
 keys, floats as repr, one trailing newline), the atomic write that every
-artifact goes through, the reader, which refuses a repeated key, and the
-conversions of a read field to floats, which name a field of the wrong
-type."""
+artifact goes through, the reader, which refuses a repeated key, the
+tests of a read value's JSON type, and the conversions of a read field to
+floats, which name a field of the wrong type."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from typing import Any, Iterator, TextIO
 
 import numpy as np
 
-__all__ = ["open_atomic", "write_json", "read_json", "float_field", "float_array_field"]
+__all__ = ["open_atomic", "write_json", "read_json", "is_int", "is_number", "float_field",
+           "float_array_field"]
 
 
 @contextmanager
@@ -60,6 +61,16 @@ def read_json(path: str) -> dict[str, Any]:
         kind = "null" if doc is None else type(doc).__name__
         raise ValueError(f"{path}: expected a JSON object at the top level, got {kind}")
     return doc
+
+
+def is_int(value: Any) -> bool:
+    """Whether value is a JSON integer: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """Whether value is a JSON number: an int (not a bool) or a float."""
+    return is_int(value) or isinstance(value, float)
 
 
 def float_field(value: Any, what: str) -> float:

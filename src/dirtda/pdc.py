@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .ingest import default_labels
-from .jsonio import float_array_field, float_field
+from .jsonio import float_array_field, float_field, is_number
 from .var import VarModel
 
 __all__ = [
@@ -40,8 +40,7 @@ class FrequencyBand:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("band name must be non-empty")
-        edges = (self.low_hz, self.high_hz)
-        numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in edges)
+        numbers = is_number(self.low_hz) and is_number(self.high_hz)
         if not (numbers and 0 <= self.low_hz < self.high_hz < math.inf):
             raise ValueError(
                 f"band {self.name!r} needs 0 <= low < high < inf, "

@@ -25,16 +25,12 @@ neither gets a file of its own.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import itertools
 import math
 import os
 import re
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -47,7 +43,7 @@ from .homology import (
     total_persistence,
 )
 from .ingest import load_series, segment, standardize
-from .jsonio import read_json, write_json
+from .jsonio import is_int, is_number, read_json, write_json
 from .pdc import DEFAULT_BANDS, DirectedNetwork, FrequencyBand, network_to_dict, pdc_band
 from .plots import plot_diagram, plot_landscape
 from .summaries import (
@@ -73,14 +69,6 @@ FULL_WINDOW = "full"
 _CRITERIA = tuple(c.value for c in OrderCriterion)
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_window(value: Any) -> bool:
     """(name, start, end): a string and two finite numbers, 0 <= start < end.
 
@@ -91,7 +79,7 @@ def _is_window(value: Any) -> bool:
         isinstance(value, tuple)
         and len(value) == 3
         and isinstance(value[0], str)
-        and all(_is_number(x) and math.isfinite(x) for x in value[1:])
+        and all(is_number(x) and math.isfinite(x) for x in value[1:])
         and 0 <= value[1] < value[2]
     )
 
@@ -112,7 +100,7 @@ def _xml_chars(text: str) -> bool:
 
 
 def _int_from(low: int) -> tuple[str, Callable[[Any], bool]]:
-    return f"an integer >= {low}", lambda v: _is_int(v) and v >= low
+    return f"an integer >= {low}", lambda v: is_int(v) and v >= low
 
 
 # every key of the flat JSON config -> (PipelineConfig field, what its value
@@ -122,7 +110,7 @@ def _int_from(low: int) -> tuple[str, Callable[[Any], bool]]:
 _CONFIG_FIELDS: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
     "input": ("input_path", "a path string", lambda v: isinstance(v, str)),
     "fs_hz": ("sampling_rate_hz", "finite and > 0",
-              lambda v: _is_number(v) and math.isfinite(v) and v > 0),
+              lambda v: is_number(v) and math.isfinite(v) and v > 0),
     "out_dir": ("out_dir", "a path string", lambda v: isinstance(v, str)),
     "windows": ("windows", "(name, start, end) tuples of a string and two finite "
                 "numbers with 0 <= start < end",
@@ -131,15 +119,15 @@ _CONFIG_FIELDS: dict[str, tuple[str, str, Callable[[Any], bool]]] = {
               lambda v: isinstance(v, tuple) and all(isinstance(b, FrequencyBand) for b in v)),
     "order": ("order", *_int_from(1)),
     "select_k_max": ("select_k_max", "null or an integer >= 1",
-                     lambda v: v is None or (_is_int(v) and v >= 1)),
+                     lambda v: v is None or (is_int(v) and v >= 1)),
     "criterion": ("criterion", " or ".join(map(repr, _CRITERIA)), lambda v: v in _CRITERIA),
     "n_grid": ("n_grid", *_int_from(1)),
-    "max_dim": ("max_dim", "1 or 2", lambda v: _is_int(v) and v in (1, 2)),
+    "max_dim": ("max_dim", "1 or 2", lambda v: is_int(v) and v in (1, 2)),
     "standardize": ("standardize", "true or false", lambda v: isinstance(v, bool)),
     "landscape_k_max": ("landscape_k_max", *_int_from(1)),
     "landscape_n_grid": ("landscape_n_grid", *_int_from(2)),
     "wasserstein_q": ("wasserstein_q", "finite and >= 1",
-                      lambda v: _is_number(v) and math.isfinite(v) and v >= 1),
+                      lambda v: is_number(v) and math.isfinite(v) and v >= 1),
 }
 CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
 _REQUIRED_KEYS = ("input", "fs_hz", "out_dir")
@@ -153,7 +141,7 @@ def _named_spans(key: str, value: Any) -> tuple[tuple[Any, ...], ...]:
     ):
         raise ValueError(f"config key {key!r}: must be {{name: [start, end]}}, got {value!r}")
     return tuple(
-        (name, *(float(x) if _is_number(x) else x for x in span))
+        (name, *(float(x) if is_number(x) else x for x in span))
         for name, span in sorted(value.items())
     )
 
@@ -346,75 +334,6 @@ def _listed_artifacts(out_dir: str) -> list[str]:
     ]
 
 
-# OpenBLAS's thread-count functions, (get, set), in the order they are
-# looked up: the scipy-openblas build that numpy's PyPI wheels ship, with
-# the 64- then the 32-bit integer interface, then a plain OpenBLAS
-_BLAS_THREAD_NAMES = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _blas_thread_hook() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """OpenBLAS's (get, set) thread-count functions in numpy's BLAS, or None
-    where that BLAS exports neither pair, as MKL, Accelerate and Windows
-    builds do not."""
-    try:
-        # dlsym on numpy's core extension also searches the libraries it
-        # loaded, its BLAS among them
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except OSError:
-        return None
-    for get_name, set_name in _BLAS_THREAD_NAMES:
-        try:
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-# the BLAS thread count is one per process, so the scopes open in it share
-# one depth, and the count the outermost of them found
-_blas_lock = threading.Lock()
-_blas_depth = 0
-_blas_saved = 0
-
-
-@contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """numpy's BLAS on one thread inside the block, the caller's count after.
-
-    Scopes may nest or be open in several threads at once: the first to
-    open sets the count to 1, and the last to close puts back the count the
-    first found. Where _blas_thread_hook finds nothing, this does nothing.
-    """
-    global _blas_depth, _blas_saved
-    hook = _blas_thread_hook()
-    if hook is None:
-        yield
-        return
-    get, set_ = hook
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                set_(_blas_saved)
-
-
-@_one_blas_thread()
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     """Execute the full analysis and write all artifacts under out_dir.
 
@@ -424,15 +343,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     Files that a report.json already in out_dir lists, and that this run
     does not write, are removed before the new report is written, so
     out_dir never holds results of an earlier config that look current.
-
-    For the length of the call numpy's BLAS runs on one thread, so a window
-    whose fit falls back to QR gives the same bytes at any thread count the
-    caller set; the caller's count is back when the call returns or raises,
-    and calls nested or made from several threads at once restore it once.
-    This holds where numpy's BLAS is an OpenBLAS that exports its
-    thread-count functions, as in numpy's PyPI wheels for Linux; elsewhere
-    the call runs at the caller's BLAS settings. fit_var, select_order and
-    the stage commands, called on their own, always do.
     """
     report = AnalysisReport(config)
     previous = _listed_artifacts(config.out_dir)

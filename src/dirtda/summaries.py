@@ -32,6 +32,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .homology import PersistenceDiagram
+from .jsonio import float_array_field, is_int
 
 __all__ = [
     "PersistenceLandscape",
@@ -54,6 +55,7 @@ class PersistenceLandscape:
     """Level functions lambda_1 >= lambda_2 >= ... sampled on a shared grid.
 
     levels has shape (k_max, n_grid); grid is the n_grid sample abscissae.
+    dim is a non-negative int, not a bool.
     """
 
     dim: int
@@ -61,6 +63,8 @@ class PersistenceLandscape:
     levels: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (is_int(self.dim) and self.dim >= 0):
+            raise ValueError(f"landscape dim must be a non-negative integer, got {self.dim!r}")
         grid = np.array(self.grid, dtype=float)
         levels = np.array(self.levels, dtype=float)
         if grid.ndim != 1 or levels.ndim != 2 or levels.shape[1] != grid.size:
@@ -372,7 +376,7 @@ def landscape_to_dict(ls: PersistenceLandscape) -> dict[str, Any]:
 
 def landscape_from_dict(doc: dict[str, Any]) -> PersistenceLandscape:
     return PersistenceLandscape(
-        int(doc["dim"]),
-        np.array(doc["grid"], dtype=float),
-        np.array(doc["levels"], dtype=float),
+        doc["dim"],
+        float_array_field(doc["grid"], "landscape grid"),
+        float_array_field(doc["levels"], "landscape levels"),
     )

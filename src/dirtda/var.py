@@ -8,21 +8,29 @@ so callers are expected to pass (approximately) centered data.
 Fitting and order selection both read one upper-triangular factor of the
 lag design with the responses appended. On a well-conditioned window it is
 the Cholesky factor of that matrix's Gram matrix, which is summed over row
-blocks and factored by numpy loops, so the design is never built and a
-fit's bits do not depend on the BLAS thread count. Otherwise the design is
-built and the factor comes from its QR, whose bits may.
+blocks and factored by numpy loops, so the design is never built.
+Otherwise the design is built and the factor comes from its QR. Both run
+numpy's BLAS on one thread and then put back the caller's count, so a fit
+gives the same bytes at any thread count, wherever it is called. That
+needs an OpenBLAS that exports its thread-count functions, as numpy's PyPI
+wheels for Linux have; with another BLAS (MKL, Accelerate) or on Windows,
+a window on the QR path may still differ between thread counts.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
+import threading
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .ingest import MultivariateSeries
-from .jsonio import float_array_field
+from .jsonio import float_array_field, is_int
 
 __all__ = [
     "VarModel",
@@ -48,6 +56,73 @@ _GRAM_MAX_CONDITION = 1e3
 _GRAM_BLOCK_ROWS = 2048
 
 _STABILITY_MARGIN = 1e-8
+
+# OpenBLAS's thread-count functions, (get, set), in the order they are
+# looked up: the scipy-openblas build that numpy's PyPI wheels ship, with
+# the 64- then the 32-bit integer interface, then a plain OpenBLAS
+_BLAS_THREAD_NAMES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_hook() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """OpenBLAS's (get, set) thread-count functions in numpy's BLAS, or None
+    where that BLAS exports neither pair, as MKL, Accelerate and Windows
+    builds do not."""
+    try:
+        # dlsym on numpy's core extension also searches the libraries it
+        # loaded, its BLAS among them
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _BLAS_THREAD_NAMES:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+# the BLAS thread count is one per process, so the scopes open in it share
+# one depth, and the count the outermost of them found
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """numpy's BLAS on one thread inside the block, the caller's count after.
+
+    Scopes may nest or be open in several threads at once: the first to
+    open sets the count to 1, and the last to close puts back the count the
+    first found. Where _blas_thread_hook finds nothing, this does nothing.
+    """
+    global _blas_depth, _blas_saved
+    hook = _blas_thread_hook()
+    if hook is None:
+        yield
+        return
+    get, set_ = hook
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_(_blas_saved)
 
 
 @dataclass(frozen=True)
@@ -121,6 +196,7 @@ def _check_condition(sv: np.ndarray) -> None:
         )
 
 
+@_one_blas_thread()
 def fit_var(series: MultivariateSeries, k: int) -> VarModel:
     """Fit a VAR(k) by per-equation least squares.
 
@@ -142,7 +218,8 @@ def fit_var(series: MultivariateSeries, k: int) -> VarModel:
     Cholesky factor of M^T M, summed over row blocks as in select_order,
     when that factor's condition number is at most _GRAM_MAX_CONDITION, so
     the design's is too. Otherwise M is built, R comes from its QR, and a
-    design whose condition number exceeds _MAX_CONDITION raises.
+    design whose condition number exceeds _MAX_CONDITION raises. BLAS runs
+    on one thread for the length of the call (see the module docstring).
     """
     x = series.samples
     t, d = x.shape
@@ -201,7 +278,8 @@ def _lagged_gram(x: np.ndarray, k: int) -> np.ndarray:
 # vector operations, not LAPACK: LAPACK's Cholesky and triangular solves at
 # these widths (129 columns for d = 32, k = 3) give different bits at
 # different BLAS thread counts, and with them every model, network, diagram
-# and distance of a run.
+# and distance of a run. _one_blas_thread prevents that only where
+# _blas_thread_hook finds OpenBLAS's thread-count functions.
 def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
     """Upper Cholesky factor of gram, or None when a pivot is not positive or
     the factor's condition number exceeds _GRAM_MAX_CONDITION."""
@@ -228,6 +306,7 @@ def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
+@_one_blas_thread()
 def select_order(
     series: MultivariateSeries, k_max: int, criterion: OrderCriterion = OrderCriterion.BIC
 ) -> int:
@@ -252,7 +331,8 @@ def select_order(
     and each order is checked on its own: a singular design raises naming
     the condition estimate of the first order that fails, and so does a
     residual covariance whose condition number exceeds _MAX_CONDITION,
-    whose log-determinant would be rounding noise.
+    whose log-determinant would be rounding noise. BLAS runs on one thread
+    for the length of the call, as in fit_var.
     """
     x = series.samples
     t, d = x.shape
@@ -326,7 +406,8 @@ def var_model_from_dict(doc: dict[str, Any]) -> VarModel:
     coeffs = float_array_field(doc["coeffs"], "model coeffs")
     sigma = float_array_field(doc["sigma"], "model sigma")
     model = VarModel(coeffs, sigma)
-    if model.order_k != doc["k"] or model.n_channels != doc["d"]:
+    declared = (doc["k"], doc["d"])
+    if not all(map(is_int, declared)) or declared != (model.order_k, model.n_channels):
         raise ValueError(
             f"declared (k={doc['k']!r}, d={doc['d']!r}) does not match "
             f"coeffs shape {coeffs.shape}"

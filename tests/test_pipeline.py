@@ -33,7 +33,7 @@ from dirtda import (
     system_two,
 )
 import dirtda
-from dirtda import pipeline
+from dirtda import var
 from dirtda.cli import main
 from dirtda.jsonio import read_json
 from dirtda.pdc import network_from_dict
@@ -511,21 +511,42 @@ class TestArtifactContract:
 
 
 needs_blas_hook = pytest.mark.skipif(
-    pipeline._blas_thread_hook() is None,
-    reason="numpy's BLAS exports no OpenBLAS thread-count functions, so a run "
+    var._blas_thread_hook() is None,
+    reason="numpy's BLAS exports no OpenBLAS thread-count functions, so a fit "
     "keeps the caller's BLAS settings",
 )
 
-# runs the config given as JSON and prints each file of out_dir with its sha256
+# runs the config given as JSON, then `dirtda fit` of the same input and
+# order into the path given second; prints each file of out_dir, and then
+# the fitted model, with its sha256
 _RUN_AND_HASH = """
 import hashlib, json, os, sys
 from dirtda import PipelineConfig, run_pipeline
+from dirtda.cli import main
 config = PipelineConfig.from_dict(json.loads(sys.argv[1]))
 run_pipeline(config)
-for name in sorted(os.listdir(config.out_dir)):
-    with open(os.path.join(config.out_dir, name), "rb") as handle:
-        print(name, hashlib.sha256(handle.read()).hexdigest())
+main(["fit", "--input", config.input_path, "--fs", str(config.sampling_rate_hz),
+      "--order", str(config.order), "--out", sys.argv[2]])
+paths = [os.path.join(config.out_dir, name) for name in sorted(os.listdir(config.out_dir))]
+for path in [*paths, sys.argv[2]]:
+    with open(path, "rb") as handle:
+        print(os.path.basename(path), hashlib.sha256(handle.read()).hexdigest())
 """
+
+
+def _count_inside_fits(monkeypatch, get, before=lambda: None):
+    """Record the BLAS thread count inside each fit, where the fit forms its
+    Gram matrix; before runs there first."""
+    seen = []
+    lagged_gram = var._lagged_gram
+
+    def gram(*args):
+        seen.append(get())
+        before()
+        return lagged_gram(*args)
+
+    monkeypatch.setattr(var, "_lagged_gram", gram)
+    return seen
 
 
 @needs_blas_hook
@@ -533,7 +554,7 @@ class TestOneBlasThread:
     @pytest.fixture
     def blas(self):
         """OpenBLAS's (get, set), with the count put back after the test."""
-        get, set_ = pipeline._blas_thread_hook()
+        get, set_ = var._blas_thread_hook()
         before = get()
         yield get, set_
         set_(before)
@@ -557,11 +578,14 @@ class TestOneBlasThread:
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads)
             done = subprocess.run(
-                [sys.executable, "-c", _RUN_AND_HASH, json.dumps(doc)],
+                [sys.executable, "-c", _RUN_AND_HASH, json.dumps(doc), str(tmp_path / "fit.json")],
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr
-            hashes.append(done.stdout.splitlines())
+            lines = dict(line.split() for line in done.stdout.splitlines())
+            # the stage command writes the run's model, byte for byte
+            assert lines.pop("fit.json") == lines["model_full.json"]
+            hashes.append(lines)
         # model, network, diagram and its plot, two landscape plots, report
         assert len(hashes[0]) == 7
         assert hashes[0] == hashes[1]
@@ -571,49 +595,47 @@ class TestOneBlasThread:
         self, series_csv, tmp_path, monkeypatch, blas, threads
     ):
         get, set_ = blas
-        seen = []
-
-        def fit(*args):
-            seen.append(get())
-            return fit_var(*args)
-
-        monkeypatch.setattr(pipeline, "fit_var", fit)
+        seen = _count_inside_fits(monkeypatch, get)
         set_(threads)
         run_pipeline(config(series_csv, str(tmp_path / "out")))
         assert seen == [1, 1]
         assert get() == threads
 
-    def test_caller_count_back_after_a_run_raises(self, tmp_path, blas):
+    def test_caller_count_back_after_a_run_raises(self, series_csv, tmp_path, monkeypatch, blas):
         get, set_ = blas
+
+        def interrupt():
+            raise RuntimeError("interrupted inside the fit")
+
+        seen = _count_inside_fits(monkeypatch, get, interrupt)
         set_(2)
-        with pytest.raises(FileNotFoundError):
-            run_pipeline(PipelineConfig(str(tmp_path / "missing.csv"), 1.0, str(tmp_path)))
+        with pytest.raises(RuntimeError, match="interrupted inside the fit"):
+            run_pipeline(config(series_csv, str(tmp_path / "out")))
+        assert seen == [1]
         assert get() == 2
 
     def test_two_runs_at_once_leave_the_count_as_found(
         self, series_csv, tmp_path, monkeypatch, blas
     ):
-        # "first" opens its scope, "second" opens its own while "first" is
-        # inside, and "second" closes last: the count it found on entry was 1
+        # "first" opens a fit's scope, "second" opens its own while "first"
+        # is inside, and "second" closes last: the count it found on entry
+        # was 1
         get, set_ = blas
         inside = {"first": threading.Event(), "second": threading.Event()}
         first_done = threading.Event()
-        seen = []
 
-        def fit(*args):
+        def hold():
             name = threading.current_thread().name
-            seen.append(get())
             if not inside[name].is_set():
                 inside[name].set()
                 (inside["second"] if name == "first" else first_done).wait(60)
-            return fit_var(*args)
 
         def run(name):
             run_pipeline(config(series_csv, str(tmp_path / name)))
             if name == "first":
                 first_done.set()
 
-        monkeypatch.setattr(pipeline, "fit_var", fit)
+        seen = _count_inside_fits(monkeypatch, get, hold)
         set_(2)
         threads = {name: threading.Thread(target=run, args=(name,), name=name) for name in inside}
         threads["first"].start()
@@ -636,7 +658,7 @@ class TestOneBlasThread:
 
         def enter_and_leave():
             for _ in range(5000):
-                with pipeline._one_blas_thread():
+                with var._one_blas_thread():
                     counts.append(get())
 
         interval = sys.getswitchinterval()
@@ -651,4 +673,4 @@ class TestOneBlasThread:
         finally:
             sys.setswitchinterval(interval)
         assert counts == [1] * 30000
-        assert get() == 2 and pipeline._blas_depth == 0
+        assert get() == 2 and var._blas_depth == 0

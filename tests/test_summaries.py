@@ -3,6 +3,7 @@ import importlib.machinery
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -806,6 +807,21 @@ class TestSerialization:
         assert back.dim == ls.dim
         assert np.array_equal(back.grid, ls.grid)
         assert np.array_equal(back.levels, ls.levels)
+
+    @pytest.mark.parametrize("dim", [1.7, True, "1", -1])
+    def test_dim_not_a_non_negative_int_refused(self, dim):
+        doc = landscape_to_dict(landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0))
+        doc["dim"] = dim
+        message = f"landscape dim must be a non-negative integer, got {dim!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            landscape_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["grid", "levels"])
+    def test_array_of_the_wrong_type_refused(self, field):
+        doc = landscape_to_dict(landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0))
+        doc[field] = {}
+        with pytest.raises(ValueError, match=f"landscape {field} must be an array of numbers"):
+            landscape_from_dict(doc)
 
 
 @settings(max_examples=30, deadline=None)

@@ -300,12 +300,42 @@ print(hashlib.sha256(_lagged_gram(x, 3).tobytes()).hexdigest())
 """
 
 
-def test_fit_is_the_same_bytes_at_any_blas_thread_count(tmp_path):
+def _gram_window() -> np.ndarray:
     # a d = 32 window at order 3 factors a 129-column Gram matrix, a width
     # at which LAPACK's Cholesky gave different bits at 1 and 2 threads
-    s = standardize(simulate_var(_stable_var(31, 32, 3, 0.8), 4000, seed=31))
+    return standardize(simulate_var(_stable_var(31, 32, 3, 0.8), 4000, seed=31)).samples
+
+
+def _qr_fallback_window() -> np.ndarray:
+    # channel 31 nearly repeats channel 0, so the Gram factor is too
+    # ill-conditioned and the fit takes the QR of the design, whose bits
+    # move with the BLAS thread count unless the fit sets it
+    x = np.random.default_rng(0).standard_normal((4000, 32))
+    x[1:] += 0.5 * x[:-1]
+    x[:, 31] = x[:, 0] + 1e-4 * np.random.default_rng(1).standard_normal(4000)
+    window = standardize(MultivariateSeries(x, 100.0, default_labels(32))).samples
+    assert dirtda.var._gram_factor(dirtda.var._lagged_gram(window, 3)) is None
+    return window
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        pytest.param(_gram_window, id="gram"),
+        pytest.param(
+            _qr_fallback_window,
+            id="qr-fallback",
+            marks=pytest.mark.skipif(
+                dirtda.var._blas_thread_hook() is None,
+                reason="numpy's BLAS exports no OpenBLAS thread-count functions, "
+                "so a fit keeps the caller's BLAS settings",
+            ),
+        ),
+    ],
+)
+def test_fit_is_the_same_bytes_at_any_blas_thread_count(tmp_path, window):
     path = str(tmp_path / "window.npy")
-    np.save(path, s.samples)
+    np.save(path, window())
     src = os.path.dirname(os.path.dirname(os.path.abspath(dirtda.__file__)))
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     hashes = []
@@ -475,4 +505,12 @@ class TestSerialization:
         doc = var_model_to_dict(TRUE_MODEL)
         doc["d"] = 4
         with pytest.raises(ValueError):
+            var_model_from_dict(doc)
+
+    @pytest.mark.parametrize("field, value", [("k", True), ("k", 1.0), ("d", 5.0)])
+    def test_declared_size_must_be_an_int(self, field, value):
+        # equal to the VAR(1) model's k = 1 or d = 5 under ==, but not an int
+        doc = var_model_to_dict(VarModel(TRUE_PHI[:1], np.eye(5)))
+        doc[field] = value
+        with pytest.raises(ValueError, match=r"declared \(k=.*\) does not match"):
             var_model_from_dict(doc)
