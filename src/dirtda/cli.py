@@ -7,8 +7,10 @@ The run subcommand executes everything in one shot from a flat JSON
 config; a flag overrides each config key but landscape_k_max,
 landscape_n_grid and wasserstein_q, which have none.
 
-Exit codes: 0 success, 1 hard error (a usage error included), 2 partial-cell
-failures in run.
+Every JSON file a command opens is read by jsonio.read_artifact, which
+names the file in a refusal; a config value, which a flag may have set,
+is named by its key. Exit codes: 0 success, 1 a usage error, ValueError
+or OSError, 2 partial-cell failures in run; any other error propagates.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .homology import (
     save_diagram,
 )
 from .ingest import load_series, save_series, segment, standardize
-from .jsonio import read_json, write_json
+from .jsonio import read_artifact, write_json
 from .pdc import DEFAULT_BANDS, FrequencyBand, network_from_dict, network_to_dict, pdc_band
 from .pipeline import CONFIG_KEYS, PipelineConfig, diagram_distances, run_pipeline
 from .plots import plot_diagram, plot_landscape
@@ -123,7 +125,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_pdc(args: argparse.Namespace) -> int:
-    model = var_model_from_dict(read_json(args.model))
+    model = read_artifact(args.model, var_model_from_dict)
     band = _parse_band(args.band)
     labels = tuple(args.labels.split(",")) if args.labels else None
     net = pdc_band(model, band, args.fs, args.n_grid, labels)
@@ -132,13 +134,13 @@ def _cmd_pdc(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    net = network_from_dict(read_json(args.network))
+    net = read_artifact(args.network, network_from_dict)
     write_json(decomposition_to_dict(decompose(net)), args.out)
     return 0
 
 
 def _cmd_persist(args: argparse.Namespace) -> int:
-    dec = decomposition_from_dict(read_json(args.decomp))
+    dec = read_artifact(args.decomp, decomposition_from_dict)
     diagram = persistence(rips_filtration(asym_distance(dec), args.max_dim))
     save_diagram(diagram, args.out)
     if args.plot:
@@ -169,7 +171,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    doc: dict[str, Any] = read_json(args.config) if args.config else {}
+    doc: dict[str, Any] = read_artifact(args.config, dict) if args.config else {}
     # flags override config keys; absent flags leave the config untouched
     for key in sorted(CONFIG_KEYS):
         value = getattr(args, key, None)
@@ -292,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

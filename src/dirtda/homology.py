@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .decomp import DistanceMatrix
-from .jsonio import float_field, is_int, read_json, write_json
+from .jsonio import is_int, is_number, read_artifact, write_json
 
 __all__ = [
     "Filtration",
@@ -78,11 +78,11 @@ class PersistenceDiagram:
     """Persistence pairs (dim, birth, death); death may be math.inf.
 
     Each pair is checked when the diagram is built: its dim is a
-    non-negative int (not a bool), its birth is finite, its death is not
-    NaN and lies at or above its birth; ValueError names the first pair
-    that fails by its index. The pairs are stored sorted by (dim, birth,
-    death). persistence() yields no zero-persistence pairs, but a diagram
-    may hold them.
+    non-negative int and its birth and death are numbers (no bools or
+    strings), its birth is finite, its death is not NaN and lies at or above
+    its birth; ValueError names the first pair that fails by its index. The
+    pairs are stored as (int, float, float) sorted by (dim, birth, death).
+    persistence() yields no zero-persistence pairs, but a diagram may hold them.
     """
 
     pairs: tuple[tuple[int, float, float], ...]
@@ -93,13 +93,18 @@ class PersistenceDiagram:
                 raise ValueError(
                     f"diagram pair {i}: dim must be a non-negative integer, got {dim!r}"
                 )
+            if not is_number(birth):
+                raise ValueError(f"diagram pair {i}: birth must be a number, got {birth!r}")
+            if not is_number(death):
+                raise ValueError(f"diagram pair {i}: death must be a number, got {death!r}")
             if not math.isfinite(birth):
                 raise ValueError(f"diagram pair {i}: birth must be finite, got {birth}")
             if math.isnan(death):
                 raise ValueError(f"diagram pair {i}: death must not be NaN")
             if death < birth:
                 raise ValueError(f"diagram pair {i}: death {death} is below birth {birth}")
-        object.__setattr__(self, "pairs", tuple(sorted(map(tuple, self.pairs))))
+        pairs = sorted((k, float(b), float(d)) for k, b, d in self.pairs)
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     def in_dim(self, dim: int) -> tuple[tuple[float, float], ...]:
         """(birth, death) of the pairs in dimension dim, a non-negative int;
@@ -260,10 +265,8 @@ def persistence(filtration: Filtration) -> PersistenceDiagram:
 
 
 def total_persistence(diagram: PersistenceDiagram, dim: int) -> float:
-    """Sum of finite lifetimes death - birth in one dimension."""
-    return float(
-        sum(d - b for k, b, d in diagram.pairs if k == dim and math.isfinite(d))
-    )
+    """Sum of finite lifetimes death - birth in dim, as in_dim takes it."""
+    return float(sum(d - b for b, d in diagram.in_dim(dim) if math.isfinite(d)))
 
 
 def diagram_to_dict(diagram: PersistenceDiagram) -> dict[str, Any]:
@@ -277,10 +280,8 @@ def diagram_to_dict(diagram: PersistenceDiagram) -> dict[str, Any]:
 
 
 def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
-    """Inverse of diagram_to_dict: "inf" becomes math.inf, and every birth
-    and death a float. pairs must be a list of objects, and a birth or death
-    of a type float() refuses, such as null, is an error naming it;
-    PersistenceDiagram checks the pairs."""
+    """Inverse of diagram_to_dict: pairs must be a list of objects, a death
+    of "inf" is math.inf, and PersistenceDiagram refuses any other string."""
     pairs = doc["pairs"]
     if not isinstance(pairs, list):
         raise ValueError(f"diagram pairs must be a list, got {type(pairs).__name__}")
@@ -288,10 +289,8 @@ def diagram_from_dict(doc: dict[str, Any]) -> PersistenceDiagram:
     for i, p in enumerate(pairs):
         if not isinstance(p, dict):
             raise ValueError(f"diagram pair {i}: must be an object, got {p!r}")
-        what = f"diagram pair {i}"
-        birth = float_field(p["birth"], f"{what}: birth")
-        death = math.inf if p["death"] == "inf" else float_field(p["death"], f"{what}: death")
-        out.append((p["dim"], birth, death))
+        death = math.inf if p["death"] == "inf" else p["death"]
+        out.append((p["dim"], p["birth"], death))
     return PersistenceDiagram(tuple(out))
 
 
@@ -300,4 +299,4 @@ def save_diagram(diagram: PersistenceDiagram, path: str) -> None:
 
 
 def load_diagram(path: str) -> PersistenceDiagram:
-    return diagram_from_dict(read_json(path))
+    return read_artifact(path, diagram_from_dict)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import open_atomic
+
 __all__ = [
     "MultivariateSeries",
     "default_labels",
@@ -201,8 +203,8 @@ def load_series(path: str | os.PathLike, sampling_rate_hz: float) -> Multivariat
 
 
 def save_series(series: MultivariateSeries, path: str | os.PathLike) -> None:
-    """Write a CSV with a header row. Floats use repr so a reload is bit-identical."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    """Write a CSV with a header row atomically; repr floats reload bit-identical."""
+    with open_atomic(os.fspath(path)) as handle:
         writer = csv.writer(handle)
         writer.writerow(series.channel_labels)
         writer.writerows(series.samples.tolist())

@@ -1,19 +1,19 @@
 """Artifact files: the one JSON format of every artifact (compact, sorted
-keys, floats as repr, one trailing newline), the atomic write that every
-artifact goes through, the reader, which refuses a repeated key, the
-tests of a read value's JSON type, and the conversions of a read field to
-floats, which name a field of the wrong type."""
+keys, floats as repr, one trailing newline), the atomic write of every
+file, the reader, which refuses a repeated key and names the file in every
+refusal, the JSON number tests each type checks its scalars with, and the
+conversion of a read array to floats, which names a field of the wrong type."""
 
 from __future__ import annotations
 
 import json
 import os
 from contextlib import contextmanager
-from typing import Any, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
-__all__ = ["open_atomic", "write_json", "read_json", "is_int", "is_number", "float_field",
+__all__ = ["open_atomic", "write_json", "read_json", "read_artifact", "is_int", "is_number",
            "float_array_field"]
 
 
@@ -23,11 +23,12 @@ def open_atomic(path: str) -> Iterator[TextIO]:
 
     Writes go to a temporary file in path's directory, which is renamed over
     path with os.replace on success and removed on any exception, so path
-    always holds either its previous content or the complete new one.
+    always holds either its previous content or the complete new one. No
+    newline is translated, so csv's CRLF rows survive on any platform.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -59,8 +60,20 @@ def read_json(path: str) -> dict[str, Any]:
         doc = json.load(handle, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict):
         kind = "null" if doc is None else type(doc).__name__
-        raise ValueError(f"{path}: expected a JSON object at the top level, got {kind}")
+        raise ValueError(f"expected a JSON object at the top level, got {kind}")
     return doc
+
+
+def read_artifact(path: str, from_dict: Callable[[dict[str, Any]], Any]) -> Any:
+    """from_dict of the JSON object in path. Any ValueError (JSON syntax, a
+    repeated key, the wrong top level, a refusal by from_dict) is raised again
+    starting with path, and a KeyError as "path: missing key 'k'"."""
+    try:
+        return from_dict(read_json(path))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def is_int(value: Any) -> bool:
@@ -71,15 +84,6 @@ def is_int(value: Any) -> bool:
 def is_number(value: Any) -> bool:
     """Whether value is a JSON number: an int (not a bool) or a float."""
     return is_int(value) or isinstance(value, float)
-
-
-def float_field(value: Any, what: str) -> float:
-    """float(value); a value float() refuses for its type, such as null or
-    a list, raises ValueError naming the field what."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
 def float_array_field(value: Any, what: str) -> np.ndarray:

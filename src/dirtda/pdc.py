@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from .ingest import default_labels
-from .jsonio import float_array_field, float_field, is_number
+from .jsonio import float_array_field, is_number
 from .var import VarModel
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 @dataclass(frozen=True)
 class FrequencyBand:
     """A named frequency interval in Hz, 0 <= low_hz < high_hz < inf, both
-    numbers (not bools)."""
+    numbers (not bools or strings), stored as floats."""
 
     name: str
     low_hz: float
@@ -46,6 +46,8 @@ class FrequencyBand:
                 f"band {self.name!r} needs 0 <= low < high < inf, "
                 f"got [{self.low_hz}, {self.high_hz}]"
             )
+        object.__setattr__(self, "low_hz", float(self.low_hz))
+        object.__setattr__(self, "high_hz", float(self.high_hz))
 
 
 # conventional EEG band boundaries in Hz
@@ -169,8 +171,8 @@ def network_to_dict(net: DirectedNetwork) -> dict[str, Any]:
 
 def network_from_dict(doc: Any) -> DirectedNetwork:
     """Inverse of network_to_dict. The document and its band must be
-    objects, labels a list, the band edges numbers and w an array of them,
-    or ValueError names the field; DirectedNetwork checks the weights."""
+    objects, labels a list and w an array of numbers, or ValueError names
+    the field; FrequencyBand checks the edges, DirectedNetwork the weights."""
     if not isinstance(doc, dict):
         raise ValueError(f"network must be an object, got {type(doc).__name__}")
     band, labels = doc["band"], doc["labels"]
@@ -178,6 +180,5 @@ def network_from_dict(doc: Any) -> DirectedNetwork:
         raise ValueError(f"network band must be an object, got {type(band).__name__}")
     if not isinstance(labels, list):
         raise ValueError(f"network labels must be a list, got {type(labels).__name__}")
-    edges = (float_field(band[key], f"network band {key}") for key in ("low_hz", "high_hz"))
-    band = FrequencyBand(band["name"], *edges)
+    band = FrequencyBand(band["name"], band["low_hz"], band["high_hz"])
     return DirectedNetwork(float_array_field(doc["w"], "network w"), band, tuple(labels))

@@ -32,7 +32,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .homology import PersistenceDiagram
-from .jsonio import float_array_field, is_int
+from .jsonio import is_int
 
 __all__ = [
     "PersistenceLandscape",
@@ -42,7 +42,6 @@ __all__ = [
     "wasserstein",
     "shared_t_max",
     "landscape_to_dict",
-    "landscape_from_dict",
 ]
 
 DEFAULT_K_MAX = 5
@@ -372,11 +371,3 @@ def wasserstein(
 def landscape_to_dict(ls: PersistenceLandscape) -> dict[str, Any]:
     """JSON form: {"dim": k, "grid": [...], "levels": [[...]]}."""
     return {"dim": ls.dim, "grid": ls.grid.tolist(), "levels": ls.levels.tolist()}
-
-
-def landscape_from_dict(doc: dict[str, Any]) -> PersistenceLandscape:
-    return PersistenceLandscape(
-        doc["dim"],
-        float_array_field(doc["grid"], "landscape grid"),
-        float_array_field(doc["levels"], "landscape levels"),
-    )

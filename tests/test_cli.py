@@ -15,6 +15,7 @@ from dirtda import (
     save_series,
     system_one,
 )
+from dirtda import cli
 from dirtda.cli import main
 from dirtda.jsonio import read_json, write_json
 from dirtda.pdc import network_from_dict
@@ -218,7 +219,7 @@ class TestRunCommand:
         # json.dumps cannot repeat a key, so the windows are appended as text
         path.write_text(json.dumps(doc)[:-1] + ', "windows": {"a": [0, 900], "a": [900, 1800]}}')
         assert run("run", "--config", path) == 1
-        assert "error: key 'a' appears more than once" in capsys.readouterr().err
+        assert f"error: {path}: key 'a' appears more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_window_override(self, workdir, config_path):
@@ -374,7 +375,7 @@ class TestArgErrors:
              "declared (k='1', d=1) does not match"),
             ('{"band": {"name": "b", "low_hz": null, "high_hz": 2}, "w": [[0]], "labels": ["a"]}',
              ["decompose", "--network", "{doc}", "--out", "{out}"],
-             "network band low_hz must be a number, got None"),
+             "band 'b' needs 0 <= low < high < inf, got [None, 2]"),
             ('{"band": {"name": "b", "low_hz": 1, "high_hz": 2}, "w": {}, "labels": ["a"]}',
              ["decompose", "--network", "{doc}", "--out", "{out}"],
              "network w must be an array of numbers"),
@@ -385,23 +386,65 @@ class TestArgErrors:
             ('{"k": 1, "d": 1, "coeffs": {}, "sigma": [[1]]}',
              ["pdc", "--model", "{doc}", "--band", "b:1:2", "--fs", "100", "--out", "{out}"],
              "model coeffs must be an array of numbers"),
+            ('{"d": 1, "coeffs": [[[0.5]]], "sigma": [[1.0]]}',
+             ["pdc", "--model", "{doc}", "--band", "alpha", "--fs", "100", "--out", "{out}"],
+             "missing key 'k'"),
+            ('{"band": {"low_hz": 1, "high_hz": 2}, "w": [[0]], "labels": ["a"]}',
+             ["decompose", "--network", "{doc}", "--out", "{out}"],
+             "missing key 'name'"),
+            ('{"w_s": [[0]], "w_a": [[0]]}', ["persist", "--decomp", "{doc}", "--out", "{out}"],
+             "missing key 'source'"),
+            ('{"pairs": [{"dim": 1, "birth": 0}]}',
+             ["landscape", "--diagram", "{doc}", "--dim", "1", "--out", "{out}"],
+             "missing key 'death'"),
+            ('{"pairs": [{"dim": 1, "birth": false, "death": 0.5}]}',
+             ["landscape", "--diagram", "{doc}", "--dim", "1", "--out", "{out}"],
+             "diagram pair 0: birth must be a number, got False"),
+            ('{"band": {"name": "b", "low_hz": false, "high_hz": 2}, "w": [[0]], "labels": ["a"]}',
+             ["decompose", "--network", "{doc}", "--out", "{out}"],
+             "band 'b' needs 0 <= low < high < inf, got [False, 2]"),
         ],
         ids=["run-null", "run-list", "landscape-list", "landscape-pair-numbers",
              "compare-pairs-number", "pdc-list", "decompose-null", "landscape-birth-null",
              "landscape-death-list", "decompose-band-number", "decompose-labels-number",
              "persist-source-number", "pdc-k-string", "decompose-low-hz-null",
-             "decompose-w-object", "persist-w-s-object", "pdc-coeffs-object"],
+             "decompose-w-object", "persist-w-s-object", "pdc-coeffs-object",
+             "pdc-no-k", "decompose-no-band-name", "persist-no-source", "landscape-no-death",
+             "landscape-birth-false", "decompose-low-hz-false"],
     )
     def test_json_of_wrong_shape_exit_one(self, tmp_path, capsys, text, argv, message):
-        # each of these used to end on a TypeError traceback, or on a message
-        # that read as a contradiction (k=1 against shape (1, 1, 1))
+        # each of these used to end on a TypeError traceback, on a message
+        # that read as a contradiction (k=1 against shape (1, 1, 1)), on a
+        # bare KeyError's repr, or was read as a number
         doc, out = tmp_path / "doc.json", tmp_path / "out.json"
         doc.write_text(text)
         assert run(*(arg.format(doc=doc, out=out) for arg in argv)) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.startswith(f"error: {doc}: ") and message in captured.err
+        assert captured.err.count(str(doc)) == 1
         assert captured.out == ""
         assert not out.exists()
+
+    def test_compare_names_the_bad_file_only(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_diagram(PersistenceDiagram(((1, 0.1, 0.3),)), str(good))
+        bad.write_text(json.dumps({"pairs": [{"dim": 1, "birth": 0.4, "death": 0.1}]}))
+        assert run("compare", "--a", good, "--b", bad, "--dim", "1") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: diagram pair 0: death 0.1 is below birth 0.4\n"
+        assert str(good) not in err
+
+    def test_key_error_outside_a_reader_propagates(self, tmp_path, monkeypatch):
+        # a KeyError that no reader turned into "missing key" is a bug, not
+        # bad input, and must not exit 1 as if the input were at fault
+        def broken(args):
+            raise KeyError("k")
+
+        dia = tmp_path / "dia.json"
+        save_diagram(PersistenceDiagram(((1, 0.1, 0.3),)), str(dia))
+        monkeypatch.setattr(cli, "_cmd_compare", broken)
+        with pytest.raises(KeyError):
+            run("compare", "--a", dia, "--b", dia, "--dim", "1")
 
     @pytest.mark.parametrize("q", ["inf", "nan"])
     def test_compare_refuses_non_finite_q(self, tmp_path, capsys, q):

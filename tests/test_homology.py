@@ -301,11 +301,17 @@ class TestSerialization:
             ({"dim": 1.5, "birth": 0.1, "death": 0.3}, "dim must be a non-negative integer"),
             ({"dim": "1", "birth": 0.1, "death": 0.3}, "dim must be a non-negative integer"),
             ({"dim": True, "birth": 0.1, "death": 0.3}, "dim must be a non-negative integer"),
-            ({"dim": 1, "birth": "inf", "death": "inf"}, "birth must be finite"),
-            ({"dim": 1, "birth": "nan", "death": 0.3}, "birth must be finite"),
-            ({"dim": 1, "birth": 0.1, "death": "nan"}, "death must not be NaN"),
+            ({"dim": 1, "birth": math.inf, "death": "inf"}, "birth must be finite"),
+            ({"dim": 1, "birth": math.nan, "death": 0.3}, "birth must be finite"),
+            ({"dim": 1, "birth": 0.1, "death": math.nan}, "death must not be NaN"),
             ({"dim": 1, "birth": 0.4, "death": 0.1}, "death 0.1 is below birth 0.4"),
-            ({"dim": 0, "birth": 0.4, "death": "-inf"}, "death -inf is below birth 0.4"),
+            ({"dim": 0, "birth": 0.4, "death": -math.inf}, "death -inf is below birth 0.4"),
+            # only a death of "inf" is read from a string
+            ({"dim": 1, "birth": "inf", "death": "inf"}, "birth must be a number, got 'inf'"),
+            ({"dim": 1, "birth": "nan", "death": 0.3}, "birth must be a number, got 'nan'"),
+            ({"dim": 1, "birth": 0.1, "death": "nan"}, "death must be a number, got 'nan'"),
+            ({"dim": 0, "birth": 0.4, "death": "-inf"}, "death must be a number, got '-inf'"),
+            ({"dim": 1, "birth": False, "death": 0.3}, "birth must be a number, got False"),
         ],
     )
     def test_invalid_pair_rejected_with_its_index(self, pair, message):
@@ -325,6 +331,7 @@ class TestSerialization:
             ((1, 0.1, math.nan), "death must not be NaN"),
             ((True, 0.1, 0.3), "dim must be a non-negative integer, got True"),
             ((-1, 0.1, 0.3), "dim must be a non-negative integer, got -1"),
+            ((1, None, 2.0), "birth must be a number, got None"),
         ],
     )
     def test_invalid_pair_rejected_when_built(self, pair, message):
@@ -344,8 +351,11 @@ class TestInDim:
 
     @pytest.mark.parametrize("dim", [-1, True, 1.0, "1", None])
     def test_bad_dim_rejected(self, dim):
-        with pytest.raises(ValueError, match=f"dim must be a non-negative integer, got {dim!r}"):
-            self.DIAGRAM.in_dim(dim)
+        # total_persistence read True and 1.0 as 1, and -1 as an empty dim
+        message = f"dim must be a non-negative integer, got {dim!r}"
+        for of_dim in (self.DIAGRAM.in_dim, lambda k: total_persistence(self.DIAGRAM, k)):
+            with pytest.raises(ValueError, match=message):
+                of_dim(dim)
 
     def test_dim_above_every_pair_is_empty(self):
         assert self.DIAGRAM.in_dim(1) == ((0.2, 0.5),)

@@ -1,4 +1,5 @@
 import csv
+import os
 import warnings
 
 import numpy as np
@@ -303,3 +304,26 @@ def test_load_series_matches_cell_parser(tmp_path_factory, text):
     assert outcome(lambda p: load_series(p, 10.0), str(path)) == outcome(
         parse_cells_only, str(path)
     )
+
+
+def test_failed_save_keeps_previous_csv(tmp_path, monkeypatch):
+    # save_series used to write in place: a failure left a truncated CSV
+    path = tmp_path / "s.csv"
+    save_series(MultivariateSeries(np.zeros((4, 2)), 1.0), str(path))
+    before = path.read_bytes()
+    real_writer = csv.writer
+
+    class FailingWriter:
+        def __init__(self, handle):
+            self.writer = real_writer(handle)
+            self.writerow = self.writer.writerow
+
+        def writerows(self, rows):
+            self.writer.writerow(rows[0])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(csv, "writer", FailingWriter)
+    with pytest.raises(OSError, match="disk full"):
+        save_series(MultivariateSeries(np.ones((4, 2)), 1.0), str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["s.csv"]

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -233,6 +234,11 @@ class TestDirectedNetwork:
         assert np.array_equal(back.weights, net.weights)
         assert back.band == net.band
         assert back.labels == net.labels
+        # int band edges are stored as floats, so they are written back as such
+        doc = network_to_dict(net)
+        doc["band"].update(low_hz=1, high_hz=4)
+        want = json.dumps(network_to_dict(net))
+        assert json.dumps(network_to_dict(network_from_dict(doc))) == want
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,6 +18,7 @@ import dirtda
 import reference_matching
 from dirtda import (
     PersistenceDiagram,
+    PersistenceLandscape,
     bottleneck,
     landscape,
     landscape_distance,
@@ -26,7 +27,6 @@ from dirtda import (
 )
 from dirtda import summaries
 from dirtda.pipeline import diagram_distances
-from dirtda.summaries import landscape_from_dict, landscape_to_dict
 
 
 def diagram(pairs):
@@ -801,27 +801,12 @@ class TestMetricProperties:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        ls = landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0)
-        back = landscape_from_dict(landscape_to_dict(ls))
-        assert back.dim == ls.dim
-        assert np.array_equal(back.grid, ls.grid)
-        assert np.array_equal(back.levels, ls.levels)
-
     @pytest.mark.parametrize("dim", [1.7, True, "1", -1])
     def test_dim_not_a_non_negative_int_refused(self, dim):
-        doc = landscape_to_dict(landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0))
-        doc["dim"] = dim
+        ls = landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0)
         message = f"landscape dim must be a non-negative integer, got {dim!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            landscape_from_dict(doc)
-
-    @pytest.mark.parametrize("field", ["grid", "levels"])
-    def test_array_of_the_wrong_type_refused(self, field):
-        doc = landscape_to_dict(landscape(SINGLE, dim=1, k_max=2, n_grid=64, t_max=4.0))
-        doc[field] = {}
-        with pytest.raises(ValueError, match=f"landscape {field} must be an array of numbers"):
-            landscape_from_dict(doc)
+            PersistenceLandscape(dim, ls.grid, ls.levels)
 
 
 @settings(max_examples=30, deadline=None)
