@@ -23,6 +23,7 @@ from .homology import (
 )
 from .ingest import (
     MultivariateSeries,
+    channel_labels,
     default_labels,
     load_series,
     save_series,
@@ -67,6 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultivariateSeries",
+    "channel_labels",
     "default_labels",
     "load_series",
     "save_series",

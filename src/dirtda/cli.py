@@ -16,6 +16,8 @@ or OSError, 2 partial-cell failures in run; any other error propagates.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from typing import Any, Callable, NoReturn
@@ -127,7 +129,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_pdc(args: argparse.Namespace) -> int:
     model = read_artifact(args.model, var_model_from_dict)
     band = _parse_band(args.band)
-    labels = tuple(args.labels.split(",")) if args.labels else None
+    rows = csv.reader(io.StringIO(args.labels or "", newline=""))
+    labels = [cell.strip() for cell in next(rows)] if args.labels else None
     net = pdc_band(model, band, args.fs, args.n_grid, labels)
     write_json(network_to_dict(net), args.out)
     return 0
@@ -232,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default band name or NAME:LOW:HIGH in Hz")
     p.add_argument("--fs", type=float, required=True, help="sampling rate in Hz")
     p.add_argument("--n-grid", type=int, default=32, dest="n_grid")
-    p.add_argument("--labels", default=None, help="comma-separated channel labels")
+    p.add_argument("--labels", default=None, help="channel labels, read as a CSV header row")
     p.add_argument("--out", required=True, help="network JSON path")
     p.set_defaults(func=_cmd_pdc)
 

@@ -14,6 +14,7 @@ from typing import Any
 
 import numpy as np
 
+from .ingest import channel_labels
 from .jsonio import float_array_field
 from .pdc import DirectedNetwork, network_from_dict, network_to_dict
 
@@ -32,26 +33,20 @@ class DistanceMatrix:
     """Symmetric, non-negative, zero-diagonal matrix with channel labels."""
 
     dist: np.ndarray
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | None
 
     def __post_init__(self) -> None:
-        d = np.array(self.dist, dtype=float)
+        d = float_array_field(self.dist, "distance matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"dist must be square, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("distances must be finite")
         if d.min() < 0:
             raise ValueError("distances must be non-negative")
         if np.any(d != d.T):
             raise ValueError("dist must be exactly symmetric")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("diagonal must be exactly zero")
-        labels = tuple(self.labels)
-        if len(labels) != d.shape[0]:
-            raise ValueError(f"{len(labels)} labels for {d.shape[0]} nodes")
-        d.setflags(write=False)
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", channel_labels(self.labels, d.shape[0]))
 
     @property
     def n_nodes(self) -> int:

@@ -1,7 +1,8 @@
 """Loading, windowing, and normalization of multichannel recordings.
 
 Recordings are plain CSV: one row per sample, one column per channel,
-optionally preceded by a single header row of channel labels.
+optionally preceded by a single header row of channel labels. Every type
+that holds channel labels checks them with channel_labels.
 """
 
 from __future__ import annotations
@@ -10,14 +11,15 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import open_atomic
+from .jsonio import float_array_field, is_number, open_atomic
 
 __all__ = [
     "MultivariateSeries",
+    "channel_labels",
     "default_labels",
     "load_series",
     "save_series",
@@ -31,6 +33,19 @@ def default_labels(n_channels: int) -> tuple[str, ...]:
     return tuple(f"ch{i}" for i in range(1, n_channels + 1))
 
 
+def channel_labels(labels: tuple[str, ...] | list[str] | None, n_channels: int) -> tuple[str, ...]:
+    """labels as a tuple of n_channels distinct strings, or the default
+    labels when labels is None; anything else raises ValueError."""
+    if labels is None:
+        return default_labels(n_channels)
+    labels = tuple(labels)
+    if not all(isinstance(label, str) for label in labels) or len(set(labels)) < len(labels):
+        raise ValueError(f"channel labels must be distinct strings, got {list(labels)}")
+    if len(labels) != n_channels:
+        raise ValueError(f"{len(labels)} labels for {n_channels} channels")
+    return labels
+
+
 @dataclass(frozen=True)
 class MultivariateSeries:
     """A fixed-rate multichannel recording.
@@ -41,40 +56,28 @@ class MultivariateSeries:
         Array of shape (n_samples, n_channels), float64, finite. The array
         is copied on construction and marked read-only.
     sampling_rate_hz : float
-        Sampling rate in Hz, finite and > 0.
+        Sampling rate in Hz, a finite number > 0 (not a bool), as a float.
     channel_labels : tuple[str, ...]
-        One distinct label per channel.
+        One distinct string per channel; None gives the defaults.
     """
 
     samples: np.ndarray
     sampling_rate_hz: float
-    channel_labels: tuple[str, ...] = field(default=())
+    channel_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=float)
+        arr = float_array_field(self.samples, "series samples")
         if arr.ndim != 2:
             raise ValueError(f"samples must be 2-d (got ndim={arr.ndim})")
         t, d = arr.shape
         if t < 1 or d < 1:
             raise ValueError(f"samples must be non-empty (got shape {arr.shape})")
-        if not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(
-                f"non-finite sample at row {bad[0] + 1}, channel index {bad[1] + 1}"
-            )
-        if not (math.isfinite(self.sampling_rate_hz) and self.sampling_rate_hz > 0):
-            raise ValueError(
-                f"sampling_rate_hz must be finite and > 0 (got {self.sampling_rate_hz})"
-            )
-        labels = tuple(self.channel_labels) if self.channel_labels else default_labels(d)
-        if len(labels) != d:
-            raise ValueError(f"{len(labels)} labels for {d} channels")
-        if len(set(labels)) != len(labels):
-            raise ValueError("channel labels must be distinct")
-        arr.setflags(write=False)
+        fs = self.sampling_rate_hz
+        if not (is_number(fs) and math.isfinite(fs) and fs > 0):
+            raise ValueError(f"sampling_rate_hz must be a finite number > 0, got {fs!r}")
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sampling_rate_hz", float(self.sampling_rate_hz))
-        object.__setattr__(self, "channel_labels", labels)
+        object.__setattr__(self, "sampling_rate_hz", float(fs))
+        object.__setattr__(self, "channel_labels", channel_labels(self.channel_labels, d))
 
     @property
     def n_samples(self) -> int:
@@ -128,10 +131,7 @@ def _load_clean(
             if first is None:
                 return None
             labels = _header_labels(first, reader.line_num)
-        # loadtxt skips blank lines itself, so only a header needs skipping;
-        # it reads utf-8, not utf-8-sig, which parses slower, so a headerless
-        # file that starts with a byte-order mark fails here and goes to
-        # _parse_cells
+        # loadtxt skips blank lines itself, so only a header needs skipping
         skip = reader.line_num if labels is not None else 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -142,7 +142,7 @@ def _load_clean(
                 dtype=float,
                 comments=None,
                 ndmin=2,
-                encoding="utf-8",
+                encoding="utf-8-sig",
             )
     except (ValueError, csv.Error, Warning):
         return None
@@ -199,7 +199,7 @@ def load_series(path: str | os.PathLike, sampling_rate_hz: float) -> Multivariat
     if parsed is None:
         parsed = _parse_cells(path)
     data, labels = parsed
-    return MultivariateSeries(data, sampling_rate_hz, labels or default_labels(data.shape[1]))
+    return MultivariateSeries(data, sampling_rate_hz, labels)
 
 
 def save_series(series: MultivariateSeries, path: str | os.PathLike) -> None:

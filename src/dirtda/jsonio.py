@@ -2,11 +2,13 @@
 keys, floats as repr, one trailing newline), the atomic write of every
 file, the reader, which refuses a repeated key and names the file in every
 refusal, the JSON number tests each type checks its scalars with, and the
-conversion of a read array to floats, which names a field of the wrong type."""
+one maker of every array a type holds: a new, finite, read-only float64
+array, or a ValueError naming the field."""
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, TextIO
@@ -87,9 +89,25 @@ def is_number(value: Any) -> bool:
 
 
 def float_array_field(value: Any, what: str) -> np.ndarray:
-    """value as a float array; a value numpy refuses for its type, such as
-    an object anywhere in it, raises ValueError naming the field what."""
-    try:
-        return np.array(value, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"{what} must be an array of numbers: {exc}") from None
+    """value as a new, finite, read-only float64 array, or a ValueError
+    naming the field what. An ndarray of a float or integer dtype is copied
+    as it is; any other value is walked once and must hold numbers only: no
+    bool, string, null, object or ragged row. The first non-finite entry is
+    named by its 1-based row and column in a 2-d array, else by its index."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        arr = value.astype(float)
+    else:
+        try:
+            leaves = np.array(value, dtype=object)
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                       for x in leaves.flat):
+                raise TypeError
+            arr = leaves.astype(float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{what} must be an array of numbers") from None
+    if not np.isfinite(arr).all():
+        at = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+        where = f"row {at[0] + 1}, column {at[1] + 1}" if arr.ndim == 2 else f"index {at}"
+        raise ValueError(f"{what} must be finite, got {arr[at]} at {where}")
+    arr.setflags(write=False)
+    return arr

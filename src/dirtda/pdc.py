@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .ingest import default_labels
+from .ingest import channel_labels
 from .jsonio import float_array_field, is_number
 from .var import VarModel
 
@@ -30,16 +30,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrequencyBand:
-    """A named frequency interval in Hz, 0 <= low_hz < high_hz < inf, both
-    numbers (not bools or strings), stored as floats."""
+    """A frequency interval in Hz named by a non-empty string, 0 <= low_hz <
+    high_hz < inf, both numbers (not bools or strings), stored as floats."""
 
     name: str
     low_hz: float
     high_hz: float
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("band name must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"band name must be a non-empty string, got {self.name!r}")
         numbers = is_number(self.low_hz) and is_number(self.high_hz)
         if not (numbers and 0 <= self.low_hz < self.high_hz < math.inf):
             raise ValueError(
@@ -64,27 +64,21 @@ class DirectedNetwork:
     """Band-averaged PDC weights.
 
     weights[p][q] is the flow intensity from channel q to channel p,
-    each entry in [0, 1].
+    each entry in [0, 1]; labels as channel_labels gives them.
     """
 
     weights: np.ndarray
     band: FrequencyBand
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | None
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
+        w = float_array_field(self.weights, "network w")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be square, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
         if w.min() < 0.0 or w.max() > 1.0 + 1e-12:
             raise ValueError("weights must lie in [0, 1]")
-        labels = tuple(self.labels)
-        if len(labels) != w.shape[0]:
-            raise ValueError(f"{len(labels)} labels for {w.shape[0]} channels")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", channel_labels(self.labels, w.shape[0]))
 
     @property
     def n_channels(self) -> int:
@@ -150,8 +144,6 @@ def pdc_band(
     # summed in grid order, one matrix at a time: a pairwise .mean(axis=0)
     # gives different bits
     weights = sum(_pdc(model, omegas)) / len(omegas)
-    if labels is None:
-        labels = default_labels(model.n_channels)
     # averaging magnitudes in [0, 1] can graze 1.0 from above only by rounding
     return DirectedNetwork(np.clip(weights, 0.0, 1.0), band, labels)
 
@@ -171,8 +163,8 @@ def network_to_dict(net: DirectedNetwork) -> dict[str, Any]:
 
 def network_from_dict(doc: Any) -> DirectedNetwork:
     """Inverse of network_to_dict. The document and its band must be
-    objects, labels a list and w an array of numbers, or ValueError names
-    the field; FrequencyBand checks the edges, DirectedNetwork the weights."""
+    objects and labels a list, or ValueError names the field; FrequencyBand
+    checks the name and edges, DirectedNetwork the weights and labels."""
     if not isinstance(doc, dict):
         raise ValueError(f"network must be an object, got {type(doc).__name__}")
     band, labels = doc["band"], doc["labels"]
@@ -181,4 +173,4 @@ def network_from_dict(doc: Any) -> DirectedNetwork:
     if not isinstance(labels, list):
         raise ValueError(f"network labels must be a list, got {type(labels).__name__}")
     band = FrequencyBand(band["name"], band["low_hz"], band["high_hz"])
-    return DirectedNetwork(float_array_field(doc["w"], "network w"), band, tuple(labels))
+    return DirectedNetwork(doc["w"], band, labels)

@@ -32,7 +32,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .homology import PersistenceDiagram
-from .jsonio import is_int
+from .jsonio import float_array_field, is_int
 
 __all__ = [
     "PersistenceLandscape",
@@ -64,16 +64,10 @@ class PersistenceLandscape:
     def __post_init__(self) -> None:
         if not (is_int(self.dim) and self.dim >= 0):
             raise ValueError(f"landscape dim must be a non-negative integer, got {self.dim!r}")
-        grid = np.array(self.grid, dtype=float)
-        levels = np.array(self.levels, dtype=float)
+        grid = float_array_field(self.grid, "landscape grid")
+        levels = float_array_field(self.levels, "landscape levels")
         if grid.ndim != 1 or levels.ndim != 2 or levels.shape[1] != grid.size:
-            raise ValueError(
-                f"levels {levels.shape} do not match grid of length {grid.size}"
-            )
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(levels))):
-            raise ValueError("landscape values must be finite")
-        grid.setflags(write=False)
-        levels.setflags(write=False)
+            raise ValueError(f"levels {levels.shape} do not match grid of length {grid.size}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "levels", levels)
 

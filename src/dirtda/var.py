@@ -138,21 +138,17 @@ class VarModel:
     innovation_cov: np.ndarray
 
     def __post_init__(self) -> None:
-        phi = np.array(self.coeffs, dtype=float)
-        sig = np.array(self.innovation_cov, dtype=float)
+        phi = float_array_field(self.coeffs, "model coeffs")
+        sig = float_array_field(self.innovation_cov, "model sigma")
         if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
             raise ValueError(f"coeffs must have shape (K, d, d), got {phi.shape}")
         d = phi.shape[1]
         if sig.shape != (d, d):
             raise ValueError(f"innovation_cov must be {d} x {d}, got {sig.shape}")
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(sig))):
-            raise ValueError("model parameters must be finite")
         if np.max(np.abs(sig - sig.T)) > 1e-10:
             raise ValueError("innovation_cov must be symmetric within 1e-10")
         if np.linalg.eigvalsh(0.5 * (sig + sig.T)).min() < -1e-10:
             raise ValueError("innovation_cov must be positive semidefinite")
-        phi.setflags(write=False)
-        sig.setflags(write=False)
         object.__setattr__(self, "coeffs", phi)
         object.__setattr__(self, "innovation_cov", sig)
 
@@ -403,13 +399,11 @@ def var_model_to_dict(model: VarModel) -> dict[str, Any]:
 
 
 def var_model_from_dict(doc: dict[str, Any]) -> VarModel:
-    coeffs = float_array_field(doc["coeffs"], "model coeffs")
-    sigma = float_array_field(doc["sigma"], "model sigma")
-    model = VarModel(coeffs, sigma)
+    model = VarModel(doc["coeffs"], doc["sigma"])
     declared = (doc["k"], doc["d"])
     if not all(map(is_int, declared)) or declared != (model.order_k, model.n_channels):
         raise ValueError(
             f"declared (k={doc['k']!r}, d={doc['d']!r}) does not match "
-            f"coeffs shape {coeffs.shape}"
+            f"coeffs shape {model.coeffs.shape}"
         )
     return model

@@ -306,6 +306,40 @@ class TestCompareMatchesRun:
             assert doc == report["distances"]["peak"]["w1|w2"][str(dim)]
 
 
+class TestPdcLabels:
+    @pytest.fixture(scope="class")
+    def run_dir(self, workdir, config_path):
+        out = workdir / "run_labels"
+        assert run("run", "--config", config_path, "--out-dir", out) == 0
+        model = workdir / "labels_model.json"
+        assert run("fit", "--input", workdir / "run_input.csv", "--fs", "1.0",
+                   "--window", "0:1000", "--order", "3", "--out", model) == 0
+        return out, model
+
+    @pytest.mark.parametrize("spelling", ["header", "spaced"])
+    def test_labels_read_as_the_csv_header(self, workdir, run_dir, spelling):
+        # the header line as `head -1` gives it, with the CSV's '\r', and
+        # the same names after ', '; both used to become part of a label
+        header = (workdir / "run_input.csv").read_bytes().decode().split("\n")[0]
+        assert header.endswith("\r")
+        labels = header if spelling == "header" else header.strip().replace(",", ", ")
+        out, model = run_dir
+        net = workdir / f"labels_{spelling}.json"
+        assert run("pdc", "--model", model, "--band", "peak:0.18:0.28", "--fs", "1.0",
+                   "--labels", labels, "--out", net) == 0
+        assert net.read_bytes() == (out / "network_w1_peak.json").read_bytes()
+
+    def test_repeated_label_exit_one(self, workdir, run_dir, capsys):
+        net = workdir / "labels_repeated.json"
+        assert run("pdc", "--model", run_dir[1], "--band", "peak:0.18:0.28", "--fs", "1.0",
+                   "--labels", "node1,node1,node3,node4,node5", "--out", net) == 1
+        assert capsys.readouterr().err == (
+            "error: channel labels must be distinct strings, "
+            "got ['node1', 'node1', 'node3', 'node4', 'node5']\n"
+        )
+        assert not net.exists()
+
+
 class TestArgErrors:
     def test_bad_band_syntax(self, workdir, capsys):
         assert run("pdc", "--model", workdir / "model.json", "--band",
@@ -403,6 +437,24 @@ class TestArgErrors:
             ('{"band": {"name": "b", "low_hz": false, "high_hz": 2}, "w": [[0]], "labels": ["a"]}',
              ["decompose", "--network", "{doc}", "--out", "{out}"],
              "band 'b' needs 0 <= low < high < inf, got [False, 2]"),
+            *(('{"band": {"name": "b", "low_hz": 1, "high_hz": 2}, "w": %s, "labels": ["a", "b"]}'
+               % w, ["decompose", "--network", "{doc}", "--out", "{out}"],
+               "network w must be an array of numbers")
+              for w in ('[["0.5", 0], [0, 0]]', '[[true, 0], [0, 0]]', '[[null, 0], [0, 0]]',
+                        '[[0.5, 0], [0]]')),
+            ('{"k": 1, "d": 1, "coeffs": [[[true]]], "sigma": [[1]]}',
+             ["pdc", "--model", "{doc}", "--band", "b:1:2", "--fs", "100", "--out", "{out}"],
+             "model coeffs must be an array of numbers"),
+            ('{"k": 1, "d": 1, "coeffs": [[[0.5]]], "sigma": [["1"]]}',
+             ["pdc", "--model", "{doc}", "--band", "b:1:2", "--fs", "100", "--out", "{out}"],
+             "model sigma must be an array of numbers"),
+            *(('{"band": {"name": "b", "low_hz": 1, "high_hz": 2}, "w": [[0, 0], [0, 0]],'
+               ' "labels": %s}' % labels, ["decompose", "--network", "{doc}", "--out", "{out}"],
+               "channel labels must be distinct strings, got " + shown)
+              for labels, shown in (("[7, 8]", "[7, 8]"), ('["a", "a"]', "['a', 'a']"))),
+            ('{"band": {"name": 5, "low_hz": 1, "high_hz": 2}, "w": [[0]], "labels": ["a"]}',
+             ["decompose", "--network", "{doc}", "--out", "{out}"],
+             "band name must be a non-empty string, got 5"),
         ],
         ids=["run-null", "run-list", "landscape-list", "landscape-pair-numbers",
              "compare-pairs-number", "pdc-list", "decompose-null", "landscape-birth-null",
@@ -410,12 +462,16 @@ class TestArgErrors:
              "persist-source-number", "pdc-k-string", "decompose-low-hz-null",
              "decompose-w-object", "persist-w-s-object", "pdc-coeffs-object",
              "pdc-no-k", "decompose-no-band-name", "persist-no-source", "landscape-no-death",
-             "landscape-birth-false", "decompose-low-hz-false"],
+             "landscape-birth-false", "decompose-low-hz-false", "decompose-w-string",
+             "decompose-w-true", "decompose-w-null", "decompose-w-ragged", "pdc-coeffs-true",
+             "pdc-sigma-string", "decompose-labels-numbers", "decompose-labels-repeated",
+             "decompose-band-name-number"],
     )
     def test_json_of_wrong_shape_exit_one(self, tmp_path, capsys, text, argv, message):
         # each of these used to end on a TypeError traceback, on a message
         # that read as a contradiction (k=1 against shape (1, 1, 1)), on a
-        # bare KeyError's repr, or was read as a number
+        # bare KeyError's repr, on numpy's message naming no field, or was
+        # read as a number or a label
         doc, out = tmp_path / "doc.json", tmp_path / "out.json"
         doc.write_text(text)
         assert run(*(arg.format(doc=doc, out=out) for arg in argv)) == 1

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dirtda import (
+    DirectedNetwork,
+    DistanceMatrix,
+    FrequencyBand,
     MultivariateSeries,
+    channel_labels,
     default_labels,
     load_series,
     save_series,
@@ -48,6 +53,13 @@ class TestMultivariateSeries:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             MultivariateSeries(np.zeros((4, 2)), 0.0, ("a", "b"))
+
+    @pytest.mark.parametrize("fs", [True, "100"], ids=["bool", "string"])
+    def test_rejects_rate_that_is_not_a_number(self, fs):
+        # True used to be stored as 1.0 Hz, and "100" raised a TypeError
+        message = f"sampling_rate_hz must be a finite number > 0, got {fs!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultivariateSeries(np.zeros((4, 2)), fs)
 
     def test_samples_read_only(self):
         s = MultivariateSeries(np.zeros((4, 2)), 1.0, ("a", "b"))
@@ -133,6 +145,13 @@ class TestLoadSeries:
         assert back.channel_labels == s.channel_labels
         assert back.samples.tobytes() == s.samples.tobytes()
 
+        # nor on a headerless one that starts with a byte-order mark
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in s.samples.tolist())
+        marked = write(tmp_path, "\ufeff" + rows, name="marked.csv")
+        back = load_series(marked, 50.0)
+        assert back.channel_labels == default_labels(8)
+        assert back.samples.tobytes() == s.samples.tobytes()
+
     def test_header_only_raises_without_warning(self, tmp_path):
         path = write(tmp_path, "a,b\n")
         with warnings.catch_warnings(record=True) as caught:
@@ -149,6 +168,35 @@ class TestLoadSeries:
         back = load_series(path, 25.0)
         assert back.channel_labels == s.channel_labels
         assert np.array_equal(back.samples, s.samples)
+
+
+LABELLED = {
+    "series": lambda labels: MultivariateSeries(np.zeros((4, 2)), 1.0, labels),
+    "network": lambda labels: DirectedNetwork(np.zeros((2, 2)), FrequencyBand("b", 1, 2), labels),
+    "distance": lambda labels: DistanceMatrix(np.zeros((2, 2)), labels),
+}
+
+
+class TestChannelLabels:
+    @pytest.mark.parametrize("labels", [("a", "a"), (1, 2)], ids=["repeated", "numbers"])
+    @pytest.mark.parametrize("build", LABELLED.values(), ids=LABELLED.keys())
+    def test_labelled_types_refuse(self, build, labels):
+        message = f"channel labels must be distinct strings, got {list(labels)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(labels)
+
+    @pytest.mark.parametrize("build", LABELLED.values(), ids=LABELLED.keys())
+    def test_none_gives_default_labels(self, build):
+        labelled = build(None)
+        if isinstance(labelled, MultivariateSeries):
+            assert labelled.channel_labels == ("ch1", "ch2")
+        else:
+            assert labelled.labels == ("ch1", "ch2")
+
+    def test_count_must_match(self):
+        with pytest.raises(ValueError, match="3 labels for 2 channels"):
+            channel_labels(["a", "b", "c"], 2)
+        assert channel_labels(["a", "b"], 2) == ("a", "b")
 
 
 class TestSegment:
